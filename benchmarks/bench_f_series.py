@@ -1,14 +1,15 @@
 """F1–F3 — figure series: ratio-vs-m curves, runtime scaling, o(1) decay.
 
-Also micro-benchmarks the float fast path (used for the largest F2 points)
-against the exact Fraction scheduler at the same size.
+Also micro-benchmarks the unit-size scheduler on the exact Fraction
+backend against the scaled-integer backend (the bin-packing path).
 """
 
 import random
+from fractions import Fraction
 
 from repro.analysis import run_f1, run_f2, run_f3
-from repro.core.fastfloat import fast_unit_makespan
 from repro.core.unit import schedule_unit
+from repro.engine.api import unit_makespan
 from repro.workloads import unit_instance
 
 from conftest import run_table
@@ -31,7 +32,7 @@ def bench_f3_srt_decay(benchmark, capsys):
 
 def _unit_reqs(n=2000):
     rng = random.Random(42)
-    return [rng.randint(1, 64) / 64 for _ in range(n)]
+    return [Fraction(rng.randint(1, 64), 64) for _ in range(n)]
 
 
 def bench_unit_exact_n2000(benchmark):
@@ -41,15 +42,17 @@ def bench_unit_exact_n2000(benchmark):
     )
 
 
-def bench_unit_float_n2000(benchmark):
+def bench_unit_int_n2000(benchmark):
     reqs = _unit_reqs(2000)
-    result = benchmark(fast_unit_makespan, reqs, 8)
+    result = benchmark(unit_makespan, reqs, 8, Fraction(1), backend="int")
     assert result > 0
 
 
-def bench_unit_float_n20000(benchmark):
+def bench_unit_int_n20000(benchmark):
     reqs = _unit_reqs(20000)
     result = benchmark.pedantic(
-        lambda: fast_unit_makespan(reqs, 16), rounds=3, iterations=1
+        lambda: unit_makespan(reqs, 16, Fraction(1), backend="int"),
+        rounds=3,
+        iterations=1,
     )
     assert result > 0

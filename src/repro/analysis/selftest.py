@@ -5,7 +5,7 @@ other on fresh random instances:
 
 * accelerated scheduler ≡ step-exact scheduler ≡ policy-through-engine
   (three code paths, one algorithm);
-* float unit mirror ≡ exact unit scheduler (dyadic inputs);
+* unit scheduler on the scaled-integer backend ≡ on exact rationals;
 * bin packing via reduction ≡ unit scheduling directly;
 * every schedule passes the first-principles validator;
 * lower bounds never exceed achieved makespans; guarantees hold.
@@ -49,11 +49,11 @@ def run_selftest(trials: int = 25, seed: int = 0) -> SelfTestResult:
         packing_lower_bound,
     )
     from ..core.bounds import makespan_lower_bound
-    from ..core.fastfloat import fast_unit_makespan
     from ..core.instance import Instance
     from ..core.scheduler import SlidingWindowScheduler
     from ..core.unit import schedule_unit
     from ..core.validate import validate_schedule
+    from ..engine.api import unit_makespan
 
     rng = random.Random(seed)
     result = SelfTestResult()
@@ -92,14 +92,14 @@ def run_selftest(trials: int = 25, seed: int = 0) -> SelfTestResult:
                 f"{tag}: guarantee violated ({fast.makespan} > {bound})",
             )
 
-        # unit-size cross-checks on dyadic inputs
+        # unit-size cross-checks: int backend ≡ exact rationals
         unit_reqs = [Fraction(rng.randint(1, 64), 64) for _ in range(n)]
         unit_inst = Instance.from_requirements(m, unit_reqs)
         exact_unit = schedule_unit(unit_inst).makespan
-        float_unit = fast_unit_makespan([float(r) for r in unit_reqs], m)
+        int_unit = unit_makespan(unit_reqs, m, Fraction(1), backend="int")
         result.record(
-            exact_unit == float_unit,
-            f"{tag}: float mirror {float_unit} != exact {exact_unit}",
+            exact_unit == int_unit,
+            f"{tag}: int backend {int_unit} != exact {exact_unit}",
         )
         items = make_items(unit_reqs)
         packing = pack_sliding_window(items, m)

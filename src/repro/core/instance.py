@@ -11,10 +11,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import attrgetter
 from typing import Iterable, Optional, Sequence
 
 from ..numeric import Number, ceil_div, frac_sum, to_fraction
-from .job import Job, make_job
+from .job import Job
 
 
 @dataclass(frozen=True)
@@ -65,10 +66,26 @@ class Instance:
             if job.id in seen:
                 raise ValueError(f"duplicate job id {job.id}")
             seen.add(job.id)
-        ordered = sorted(job_list, key=lambda j: (j.requirement, j.id))
-        reindexed = tuple(job.with_id(i) for i, job in enumerate(ordered))
-        original = tuple(job.id for job in ordered)
+        # one stable sort on r_j over id-ordered jobs: ties keep id order
+        job_list.sort(key=attrgetter("id"))
+        job_list.sort(key=attrgetter("requirement"))
+        reindexed = tuple(job.with_id(i) for i, job in enumerate(job_list))
+        original = tuple(job.id for job in job_list)
         return cls(m=m, jobs=reindexed, original_ids=original)
+
+    @classmethod
+    def _from_columns(
+        cls, m: int, sizes: Sequence[int], reqs: Sequence[Fraction]
+    ) -> "Instance":
+        """The canonical instance of jobs ``i`` with size ``sizes[i]`` and
+        requirement ``reqs[i]``: one stable sort on the requirement (ties
+        keep input order), then each :class:`Job` built once."""
+        order = sorted(range(len(reqs)), key=reqs.__getitem__)
+        jobs = tuple(
+            Job(id=new, size=sizes[old], requirement=reqs[old])
+            for new, old in enumerate(order)
+        )
+        return cls(m=m, jobs=jobs, original_ids=tuple(order))
 
     @classmethod
     def from_requirements(
@@ -86,8 +103,7 @@ class Instance:
             sizes = [1] * len(reqs)
         if len(sizes) != len(reqs):
             raise ValueError("sizes and requirements must have equal length")
-        jobs = [make_job(i, int(p), r) for i, (p, r) in enumerate(zip(sizes, reqs))]
-        return cls.create(m, jobs)
+        return cls._from_columns(m, [int(p) for p in sizes], reqs)
 
     @classmethod
     def from_real_sizes(
@@ -108,14 +124,15 @@ class Instance:
         szs = [to_fraction(p) for p in sizes]
         if len(reqs) != len(szs):
             raise ValueError("sizes and requirements must have equal length")
-        jobs = []
-        for i, (r, p) in enumerate(zip(reqs, szs)):
+        p_ints = []
+        scaled = []
+        for r, p in zip(reqs, szs):
             if p <= 0:
                 raise ValueError(f"size must be positive, got {p}")
-            s = r * p
             p_int = ceil_frac(p)
-            jobs.append(Job(id=i, size=p_int, requirement=s / p_int))
-        return cls.create(m, jobs)
+            p_ints.append(p_int)
+            scaled.append(r * p / p_int)
+        return cls._from_columns(m, p_ints, scaled)
 
     # ------------------------------------------------------------------
     # Accessors

@@ -78,7 +78,7 @@ def run_loop(
     guard = 0
     if step_limit is not None:
         on_decision = observer.on_decision if observer is not None else None
-        while state._unfinished and state.t < step_limit:
+        while state.unfinished_count and state.t < step_limit:
             guard += 1
             if guard > max_iters:
                 raise cap_error()
@@ -93,7 +93,7 @@ def run_loop(
                 on_finish(finished)
         return
     if observer is None:
-        while state._unfinished:
+        while state.unfinished_count:
             guard += 1
             if guard > max_iters:
                 raise cap_error()
@@ -106,7 +106,7 @@ def run_loop(
     decide = policy.decide
     apply_decision = state.apply_decision
     on_decision = observer.on_decision
-    while state._unfinished:
+    while state.unfinished_count:
         guard += 1
         if guard > max_iters:
             raise cap_error()

@@ -287,45 +287,106 @@ class SlidingWindowPolicy:
 class UnitWindowPolicy:
     """The m-maximal-window algorithm for unit-size jobs (``s_j = r_j``).
 
-    ``order`` is the virtual ordering as sorted ``(current value, key)``
-    pairs; the policy maintains it across steps, re-inserting the started
-    job ``ι`` at its new (value, key) rank after every step."""
+    The virtual order sorts the unfinished jobs by ``(current value,
+    key)``.  Every step finishes all window jobs but ``max W``, and only
+    the started job ``ι`` ever changes value, so the order is the initial
+    sorted ``order`` (static ranks ``1..n``) minus the finished jobs, with
+    ``ι`` held apart and placed by bisect.  The alive ranks form a doubly
+    linked list (``nxt``/``prv``; sentinels ``0`` and ``n + 1``) for the
+    O(m) walks around ``ι``, and a union–find successor map (``up``)
+    finds the first alive rank at or after any static rank.
+
+    Without ``ι`` the window starts at the leftmost job and slides right
+    until its ``m`` values reach the budget.  The values rise along the
+    order, so an m-window falls short while all its values are below
+    ``budget/m`` and reaches the budget once none is: the slide jumps to
+    the m-window ending just before the first job of value ``≥ budget/m``
+    (found by bisect) and walks at most ``m`` more jobs — O(m + log n)
+    per step instead of a walk as long as the slide.
+    """
 
     def __init__(self, budget, order: Sequence) -> None:
         self.budget = budget
         self.order: List = list(order)
-        self.iota_idx: Optional[int] = None  # index of ι in `order`
+        n = self.n = len(self.order)
+        zero = budget - budget
+        self.vals: List = [zero] + [v for v, _ in self.order] + [zero]
+        self.keys: List = [None] + [k for _, k in self.order] + [None]
+        self.nxt: List[int] = list(range(1, n + 2)) + [n + 1]
+        self.prv: List[int] = [0] + list(range(n + 1))
+        self.up: List[int] = list(range(n + 2))
+        #: ``(value, key, rank)`` of ι — it sits just before static
+        #: ``rank`` in the virtual order — or None
+        self.iota = None
 
     def decide(self, state: EngineState) -> StepDecision:
-        order = self.order
         m = state.m
         budget = self.budget
-        iota_idx = self.iota_idx
-        if iota_idx is not None:
-            lo, hi = iota_idx, iota_idx + 1
-            r_w = order[iota_idx][0]
+        vals = self.vals
+        nxt = self.nxt
+        prv = self.prv
+        tail = self.n + 1
+        iota = self.iota
+        lefts: List[int] = []  # ranks left of ι, nearest first
+        rights: List[int] = []  # ranks right of ι, or the ι-free window
+        if iota is not None:
+            r_w = iota[0]
+            right = self._first_alive(iota[2])
+            left = prv[right]
+            size = 1
+            # grow left
+            while size < m and left and r_w < budget:
+                lefts.append(left)
+                r_w += vals[left]
+                left = prv[left]
+                size += 1
+            # grow right
+            while r_w < budget and right != tail and size < m:
+                rights.append(right)
+                r_w += vals[right]
+                right = nxt[right]
+                size += 1
+            # move right while resource-deficient and min W is not ι
+            while r_w < budget and right != tail and lefts:
+                r_w -= vals[lefts.pop()]
+                rights.append(right)
+                r_w += vals[right]
+                right = nxt[right]
         else:
-            lo = hi = 0
             r_w = state.zero
-        # grow left
-        while hi - lo < m and lo > 0 and r_w < budget:
-            lo -= 1
-            r_w += order[lo][0]
-        # grow right
-        while r_w < budget and hi < len(order) and hi - lo < m:
-            r_w += order[hi][0]
-            hi += 1
-        # move right while resource-deficient and the leftmost is unstarted
-        while (
-            r_w < budget
-            and hi < len(order)
-            and (iota_idx is None or lo != iota_idx)
-        ):
-            r_w -= order[lo][0]
-            lo += 1
-            r_w += order[hi][0]
-            hi += 1
-        window = order[lo:hi]
+            right = nxt[0]
+            while r_w < budget and right != tail and len(rights) < m:
+                rights.append(right)
+                r_w += vals[right]
+                right = nxt[right]
+            if r_w < budget and right != tail:
+                # every m-window ending before the first job of value
+                # ≥ budget/m falls short: jump to the last of them
+                stop = self._first_alive(self._threshold_rank(m))
+                end = prv[stop]
+                if end > rights[-1]:
+                    rights = []
+                    r_w = state.zero
+                    for _ in range(m):
+                        rights.append(end)
+                        r_w += vals[end]
+                        end = prv[end]
+                    rights.reverse()
+                    right = stop
+                # move right while resource-deficient (≤ m jobs now)
+                first = 0
+                while r_w < budget and right != tail:
+                    r_w -= vals[rights[first]]
+                    first += 1
+                    rights.append(right)
+                    r_w += vals[right]
+                    right = nxt[right]
+                del rights[:first]
+        keys = self.keys
+        window = [(vals[r], keys[r]) for r in reversed(lefts)]
+        if iota is not None:
+            window.append(iota[:2])
+        window.extend((vals[r], keys[r]) for r in rights)
 
         # assignment: all but the last window job get their full value
         shares: Dict = {}
@@ -340,23 +401,25 @@ class UnitWindowPolicy:
         shares[last_key] = last_share
         # bulk: a lone oversized job absorbing the full budget each step
         count = 1
-        if hi - lo == 1 and last_share == budget:
+        if len(window) == 1 and last_share == budget:
             count = last_value // budget
             if count < 1:
                 count = 1
             shares[last_key] = budget
         # every job except possibly the last finishes this step
         rem = last_value - count * shares[last_key]
-        new_order = order[:lo] + order[hi:]
+        up = self.up
+        for r in lefts + rights:
+            before, after = prv[r], nxt[r]
+            nxt[before] = after
+            prv[after] = before
+            up[r] = r + 1
         if rem <= 0:
-            self.iota_idx = None
+            self.iota = None
         else:
-            entry = (rem, last_key)
-            idx = bisect_left(new_order, entry)
-            new_order.insert(idx, entry)
-            self.iota_idx = idx
-        self.order = new_order
-        n_full = (hi - lo) - (1 if rem > 0 else 0)
+            rank = bisect_left(self.order, (rem, last_key)) + 1
+            self.iota = (rem, last_key, rank)
+        n_full = len(window) - (1 if rem > 0 else 0)
         return StepDecision(
             shares=shares,
             count=count,
@@ -365,6 +428,31 @@ class UnitWindowPolicy:
             full_jobs_step=n_full >= m - 1,
             full_resource_step=used + shares[last_key] >= budget,
         )
+
+    def _first_alive(self, rank: int) -> int:
+        """The first alive rank at or after *rank* (``n + 1`` if none),
+        by union–find with path compression."""
+        up = self.up
+        root = rank
+        while up[root] != root:
+            root = up[root]
+        while up[rank] != root:
+            up[rank], rank = root, up[rank]
+        return root
+
+    def _threshold_rank(self, m: int) -> int:
+        """The first static rank of value ``≥ budget/m`` (``n + 1`` if
+        none), by bisection on ``m·value`` (no division)."""
+        vals = self.vals
+        budget = self.budget
+        lo, hi = 1, self.n + 1
+        while lo < hi:
+            mid = (lo + hi) // 2
+            if vals[mid] * m < budget:
+                lo = mid + 1
+            else:
+                hi = mid
+        return lo
 
 
 # ---------------------------------------------------------------------------

@@ -50,8 +50,12 @@ class EngineState:
         self.total = dict(totals)
         #: remaining total requirement s_j(t) per job key
         self.remaining = dict(self.total)
-        #: job keys not yet finished, ascending (canonical order)
-        self._unfinished: List = sorted(self.remaining)
+        #: job keys not yet finished, ascending, plus the keys finished
+        #: since the list was last compacted (see :attr:`_unfinished`)
+        self._keys: List = sorted(self.remaining)
+        self._finished: List = []
+        #: number of unfinished jobs (the step loop's termination test)
+        self.unfinished_count: int = len(self._keys)
         #: job key -> processor, assigned at first processing step
         self.processor_of: Dict = {}
         #: processors currently owned by a *running* (started, unfinished) job
@@ -77,12 +81,34 @@ class EngineState:
     # Queries
     # ------------------------------------------------------------------
 
+    @property
+    def _unfinished(self) -> List:
+        """``J(t)`` as a sorted key list, compacted when read.
+
+        Finishing a job only records its key; deleting it from the sorted
+        list costs O(n), so that is left to the policies that read the
+        list (the Listing-1 and online windows).  A policy that never
+        reads it (the unit window) keeps the whole run free of it.
+        """
+        if self._finished:
+            keys = self._keys
+            for j in self._finished:
+                del keys[bisect_left(keys, j)]
+            self._finished = []
+        return self._keys
+
+    @_unfinished.setter
+    def _unfinished(self, keys: List) -> None:
+        self._keys = list(keys)
+        self._finished = []
+        self.unfinished_count = len(self._keys)
+
     def unfinished(self) -> List:
         """``J(t)`` — keys of unfinished jobs, ascending (canonical order)."""
         return list(self._unfinished)
 
     def n_unfinished(self) -> int:
-        return len(self._unfinished)
+        return self.unfinished_count
 
     def is_finished(self, job_id) -> bool:
         return self.remaining[job_id] <= 0
@@ -180,9 +206,8 @@ class EngineState:
             return []
         self.remaining[job_id] = self.zero
         self.completion_times[job_id] = self.t
-        idx = bisect_left(self._unfinished, job_id)
-        if idx < len(self._unfinished) and self._unfinished[idx] == job_id:
-            del self._unfinished[idx]
+        self._finished.append(job_id)
+        self.unfinished_count -= 1
         proc = self.processor_of.get(job_id)
         if proc is not None:
             self._busy_processors.discard(proc)
@@ -205,9 +230,10 @@ class EngineState:
             remaining[job_id] = rem
         self.t += count
         if finished:
+            self._finished.extend(finished)
+            self.unfinished_count -= len(finished)
             for j in finished:
                 self.completion_times[j] = self.t
-                del self._unfinished[bisect_left(self._unfinished, j)]
                 proc = self.processor_of.get(j)
                 if proc is not None:
                     self._busy_processors.discard(proc)

@@ -25,7 +25,7 @@ from typing import Iterable, Sequence, Union
 
 Number = Union[int, float, Fraction]
 
-#: Absolute tolerance used by the float fast path.
+#: Absolute tolerance of the tolerant float helpers below.
 FLOAT_EPS = 1e-9
 
 
@@ -123,7 +123,7 @@ def clamp(x: Fraction, lo: Fraction, hi: Fraction) -> Fraction:
 
 
 # ---------------------------------------------------------------------------
-# Tolerant float helpers (only used by the float fast path / analysis layer).
+# Tolerant float helpers (for float-valued analysis code, never the engine).
 # ---------------------------------------------------------------------------
 
 

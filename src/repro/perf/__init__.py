@@ -6,9 +6,8 @@ shows rational arithmetic dominating their runtime.  The engine refactor
 moved the scaled-integer arithmetic itself into
 :mod:`repro.engine.backends.integer` (all quantities rescaled by the LCM
 ``D`` of the requirement denominators, every predicate pure integer
-arithmetic, results *bit-for-bit identical* to the Fraction path — unlike
-the float mirror in :mod:`repro.core.fastfloat`).  This package keeps the
-perf-facing entry points and harnesses:
+arithmetic, results *bit-for-bit identical* to the Fraction path).  This
+package keeps the perf-facing entry points and harnesses:
 
 * :mod:`repro.perf.intkernel` — compatibility shim for the original
   kernel's names; :func:`solve_srj` selects a backend
@@ -20,7 +19,8 @@ perf-facing entry points and harnesses:
   :class:`~concurrent.futures.ProcessPoolExecutor` sweep runner used by the
   experiment harness (:func:`parallel_map`, :func:`seed_for`).
 * :mod:`repro.perf.bench` — the bench-regression harness producing
-  ``BENCH_1.json`` (general SRJ, wall-clock per backend, speedup, RSS).
+  ``BENCH_1.json`` (general SRJ, wall-clock per backend, speedup, RSS;
+  plus the unit-size int kernel's scaling series up to n = 10⁵).
 * :mod:`repro.perf.bench_srt` — the same for the SRT scheduler,
   producing ``BENCH_2.json``.
 

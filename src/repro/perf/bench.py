@@ -2,11 +2,14 @@
 
 Runs the E4-style runtime sweep (uniform family, n-sweep at fixed m plus an
 m-sweep at fixed n) on the Fraction reference backend and the scaled-integer
-kernel, cross-checks that both produce identical makespans, and records
+kernel, cross-checks that both produce identical makespans, then times the
+unit-size kernel (Corollary 3.9 packing) on the integer backend from
+n = 10⁴ to 10⁵ (uniform and bimodal items, k = 8), and records
 
 * per-point wall-clock (median of ``reps``, with the mean alongside for
   continuity) for both backends and the speedup,
-* the power-law exponents of time vs n (the Theorem 3.3 scaling claim),
+* the power-law exponents of time vs n (the Theorem 3.3 scaling claim, and
+  ``power_law_exponent_unit`` per item family for the unit series),
 * peak RSS of the process (``resource.getrusage``, portable — no psutil),
 
 into a JSON file so subsequent PRs have a perf trajectory to diff against.
@@ -35,10 +38,12 @@ from __future__ import annotations
 import argparse
 import json
 import platform
+import random
 import resource
 import statistics
 import sys
 import time
+from fractions import Fraction
 from typing import Dict, List, Optional, Tuple
 
 from ..sweep import SweepSpec, run_sweep, scale_grid
@@ -79,11 +84,36 @@ def _time_backend(inst, backend: str, reps: int) -> Tuple[List[float], int]:
     return times, makespan
 
 
+def _unit_point(params: Dict) -> Dict[str, object]:
+    """Time the unit-size int kernel on one item list (a bin count)."""
+    from ..engine.api import unit_makespan
+    from ..workloads import bimodal_fractions, uniform_fractions
+
+    k, n, reps = params["m"], params["n"], params["reps"]
+    rng = random.Random(params["seed"])
+    if params["family"] == "uniform":
+        reqs = uniform_fractions(rng, n, hi=Fraction(6, 5))
+    else:
+        reqs = bimodal_fractions(rng, n)
+    times: List[float] = []
+    for _ in range(reps):
+        t0 = time.perf_counter()
+        makespan = unit_makespan(reqs, k, Fraction(1), backend="int")
+        times.append(time.perf_counter() - t0)
+    return {
+        "sweep": "unit", "family": params["family"], "m": k, "n": n,
+        "makespan": makespan,
+        "int_s": round(statistics.median(times), 6),
+        "int_mean_s": round(sum(times) / len(times), 6),
+    }
+
+
 def _bench_point(params: Dict) -> Dict[str, object]:
     """Solve-and-time one grid point (pure function of *params*)."""
     from ..workloads import make_instance
-    import random
 
+    if params["sweep"] == "unit":
+        return _unit_point(params)
     m, n, reps = params["m"], params["n"], params["reps"]
     rng = random.Random(params["seed"])
     inst = make_instance("uniform", rng, m, n)
@@ -108,7 +138,8 @@ def _bench_point(params: Dict) -> Dict[str, object]:
 def bench_spec(
     scale: str = "small", seed: int = 0, reps: Optional[int] = None
 ) -> SweepSpec:
-    """The E4 runtime sweep as a fabric spec (n-sweep then m-sweep)."""
+    """The E4 runtime sweep as a fabric spec (n-sweep, m-sweep, then the
+    unit-size series)."""
     p = _sweep_points(scale)
     reps = reps if reps is not None else p["reps"][0]
     m_fixed, n_fixed = p["m_fixed"][0], p["n_fixed"][0]
@@ -122,6 +153,13 @@ def bench_spec(
         params.append({"sweep": "m", "m": m, "n": n_fixed,
                        "seed": seed_for(seed, idx), "reps": reps})
         idx += 1
+    for family in p["unit_families"]:
+        for k in p["unit_k"]:
+            for n in p["unit_ns"]:
+                params.append({"sweep": "unit", "family": family, "m": k,
+                               "n": n, "seed": seed_for(seed, idx),
+                               "reps": reps})
+                idx += 1
     return SweepSpec.from_points(
         "bench-srj", _bench_point, params, version=f"v{SCHEMA}", serial=True
     )
@@ -168,6 +206,8 @@ def run_bench(
         "rows": rows,
     }
     if sweep.complete:
+        srj_rows = [r for r in rows if r["sweep"] != "unit"]
+        unit_rows = [r for r in rows if r["sweep"] == "unit"]
         n_rows = [r for r in rows if r["sweep"] == "n"]
         largest = max(n_rows, key=lambda r: r["n"])
         from ..analysis.stats import fit_power_law
@@ -180,13 +220,21 @@ def run_bench(
             [float(r["n"]) for r in n_rows],
             [max(r["int_s"], 1e-9) for r in n_rows],
         )
+        exp_unit = {}
+        for family in sorted({r["family"] for r in unit_rows}):
+            series = [r for r in unit_rows if r["family"] == family]
+            exp_unit[family] = round(fit_power_law(
+                [float(r["n"]) for r in series],
+                [max(r["int_s"], 1e-9) for r in series],
+            )[0], 3)
         report["summary"] = {
             "largest_n": largest["n"],
             "speedup_at_largest_n": largest["speedup"],
-            "max_speedup": max(r["speedup"] for r in rows),
-            "min_speedup": min(r["speedup"] for r in rows),
+            "max_speedup": max(r["speedup"] for r in srj_rows),
+            "min_speedup": min(r["speedup"] for r in srj_rows),
             "power_law_exponent_fraction": round(exp_frac, 3),
             "power_law_exponent_int": round(exp_int, 3),
+            "power_law_exponent_unit": exp_unit,
             "peak_rss_kb": peak_rss_kb(),
         }
     else:

@@ -1,20 +1,19 @@
 """Scaled-integer entry points for unit-size SRJ and Cor. 3.9 packing.
 
-:func:`repro.core.fastfloat.fast_unit_makespan` trades exactness for speed
-(floats plus an ``_EPS`` tolerance); these entry points instead run the
-unit-size m-maximal-window algorithm on the engine's LCM-rescaled integer
-backend (:mod:`repro.engine.backends.integer`): requirements are rescaled
-by the LCM ``D`` of their denominators, after which every comparison the
+These entry points run the unit-size m-maximal-window algorithm on the
+engine's LCM-rescaled integer backend
+(:mod:`repro.engine.backends.integer`): requirements are rescaled by the
+LCM ``D`` of their denominators, after which every comparison the
 algorithm makes (window feasibility ``r(W) < R``, the virtual reordering
 of the started job ``ι``, the bulk jump of a lone oversized job) is pure
 integer arithmetic and the returned makespan equals
-:func:`repro.core.unit.schedule_unit`'s **exactly** — on *all* rational
-inputs, not just dyadic ones.
+:func:`repro.core.unit.schedule_unit`'s **exactly**, on every rational
+input.
 
 Used by the bin-packing pipeline (each time step = one bin, Corollary 3.9)
-for large item counts where the Fraction scheduler is too slow but float
-tolerance is unacceptable.  The step loop itself lives in
-:class:`repro.engine.policies.UnitWindowPolicy`; this module keeps the
+for large item counts where the Fraction scheduler is too slow.  The step
+loop itself lives in :class:`repro.engine.policies.UnitWindowPolicy`
+(near-linear in ``n``, see ``docs/ALGORITHM.md``); this module keeps the
 historical names and input validation.
 """
 

@@ -136,7 +136,7 @@ class SimulationEngine:
                             ev,
                             {"t": st.t, "applied": ok, "layer": "simulator"},
                         )
-                if not st._unfinished:
+                if not st.unfinished_count:
                     # an abort emptied the instance mid-decision; stop the
                     # loop without charging a phantom idle step
                     raise _AllJobsAborted

@@ -14,12 +14,18 @@ from typing import Dict, List
 __all__ = ["scale_grid", "GRID_KINDS"]
 
 _GRIDS: Dict[str, Dict[str, Dict[str, List]]] = {
-    # general SRJ kernel (BENCH_1): n-sweep at fixed m + m-sweep at fixed n
+    # general SRJ kernel (BENCH_1): n-sweep at fixed m + m-sweep at fixed n,
+    # plus the unit-size int series (Cor. 3.9 packing, k = unit_k) at
+    # sizes where the kernel's scaling, not interpreter overhead, shows
     "srj": {
         "small": {"ns": [50, 100, 200, 400], "ms": [4, 8, 16, 32],
-                  "n_fixed": [200], "m_fixed": [8], "reps": [2]},
+                  "n_fixed": [200], "m_fixed": [8], "reps": [2],
+                  "unit_ns": [10_000, 20_000, 50_000, 100_000],
+                  "unit_families": ["uniform", "bimodal"], "unit_k": [8]},
         "full": {"ns": [100, 200, 400, 800, 1600], "ms": [4, 8, 16, 32, 64],
-                 "n_fixed": [800], "m_fixed": [8], "reps": [3]},
+                 "n_fixed": [800], "m_fixed": [8], "reps": [3],
+                 "unit_ns": [10_000, 20_000, 50_000, 100_000],
+                 "unit_families": ["uniform", "bimodal"], "unit_k": [8]},
     },
     # SRT scheduler (BENCH_2): k-sweep at fixed m + m-sweep at fixed k
     "srt": {

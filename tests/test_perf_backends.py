@@ -240,6 +240,7 @@ class TestBenchHarness:
             lambda scale: {
                 "ns": [10, 20], "ms": [2, 3],
                 "n_fixed": [10], "m_fixed": [2], "reps": [1],
+                "unit_ns": [], "unit_families": [], "unit_k": [],
             },
         )
         report = bench.run_bench(scale="small", seed=0)
@@ -252,13 +253,56 @@ class TestBenchHarness:
         write_report(report, out)
         assert json.loads(out.read_text())["summary"] == report["summary"]
 
+    def test_tiny_unit_series(self, monkeypatch):
+        from repro.engine.api import unit_makespan
+        from repro.perf import bench
+        from repro.workloads import bimodal_fractions, uniform_fractions
+
+        monkeypatch.setattr(
+            bench,
+            "_sweep_points",
+            lambda scale: {
+                "ns": [10, 20], "ms": [], "n_fixed": [10], "m_fixed": [2],
+                "reps": [1], "unit_ns": [200, 400],
+                "unit_families": ["uniform", "bimodal"], "unit_k": [4],
+            },
+        )
+        report = bench.run_bench(scale="small", seed=0)
+        unit = [r for r in report["rows"] if r["sweep"] == "unit"]
+        assert [(r["family"], r["n"]) for r in unit] == [
+            ("uniform", 200), ("uniform", 400),
+            ("bimodal", 200), ("bimodal", 400),
+        ]
+        spec = bench.bench_spec(scale="small", seed=0)
+        for row, point in zip(unit, spec.points[2:]):
+            rng = random.Random(point.params["seed"])
+            if row["family"] == "uniform":
+                reqs = uniform_fractions(rng, row["n"], hi=Fraction(6, 5))
+            else:
+                reqs = bimodal_fractions(rng, row["n"])
+            inst = Instance.from_requirements(row["m"], reqs)
+            assert row["makespan"] == schedule_unit(inst).makespan
+            assert row["makespan"] == unit_makespan(
+                reqs, row["m"], Fraction(1), backend="fraction"
+            )
+            assert row["int_s"] > 0
+        exponents = report["summary"]["power_law_exponent_unit"]
+        assert set(exponents) == {"uniform", "bimodal"}
+
     def test_repo_bench_artifact_if_present(self):
-        """When BENCH_1.json exists, it must meet the speedup target."""
+        """When BENCH_1.json exists, it must meet the speedup target and
+        its unit-size int series the near-linear scaling target."""
         artifact = REPO_ROOT / "BENCH_1.json"
         if not artifact.exists():
             pytest.skip("BENCH_1.json not generated in this checkout")
         report = json.loads(artifact.read_text())
         assert report["summary"]["speedup_at_largest_n"] >= 10.0
+        unit = [r for r in report["rows"] if r["sweep"] == "unit"]
+        assert {r["n"] for r in unit} >= {10_000, 100_000}
+        exponents = report["summary"]["power_law_exponent_unit"]
+        assert set(exponents) == {"uniform", "bimodal"}
+        for family, exponent in exponents.items():
+            assert exponent <= 1.3, (family, exponent)
 
 
 class TestProfilingGate:

@@ -342,7 +342,8 @@ class TestGridsAndMigrations:
         monkeypatch.setattr(
             bench, "_sweep_points",
             lambda scale: {"ns": [10, 20], "ms": [2], "n_fixed": [10],
-                           "m_fixed": [2], "reps": [3]},
+                           "m_fixed": [2], "reps": [3], "unit_ns": [],
+                           "unit_families": [], "unit_k": []},
         )
         report = bench.run_bench(scale="small", seed=0)
         for row in report["rows"]:

@@ -1,14 +1,19 @@
 """Tests for the unit-size modified algorithm (repro.core.unit)."""
 
+import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.bounds import makespan_lower_bound
 from repro.core.instance import Instance
 from repro.core.unit import UnitSizeScheduler, schedule_unit, unit_guarantee
 from repro.core.validate import assert_valid
+from repro.engine.api import unit_makespan
+from repro.perf import int_pack_bins, int_unit_makespan
+from repro.workloads import bimodal_fractions
 
 from conftest import srj_instances
 
@@ -122,3 +127,125 @@ class TestBulkPath:
                 if j in procs:
                     assert procs[j] == p
                 procs[j] = p
+
+
+def _makespans(reqs, m):
+    """The unit makespan of *reqs* on every entry point and backend."""
+    inst = Instance.from_requirements(m, reqs)
+    return {
+        schedule_unit(inst, backend="fraction").makespan,
+        schedule_unit(inst, backend="int").makespan,
+        unit_makespan(reqs, m, Fraction(1), backend="fraction"),
+        unit_makespan(reqs, m, Fraction(1), backend="int"),
+    }
+
+
+class TestUnitMakespan:
+    """The bare-requirements entry points (Cor. 3.9 bin counts)."""
+
+    def test_empty(self):
+        assert int_unit_makespan([], 3) == 0
+        assert unit_makespan([], 3, Fraction(1)) == 0
+
+    def test_single(self):
+        assert _makespans([Fraction(1, 2)], 3) == {1}
+
+    def test_oversized(self):
+        assert _makespans([Fraction(5, 2)], 3) == {3}
+
+    def test_validation(self):
+        with pytest.raises(ValueError):
+            int_unit_makespan([Fraction(1, 2)], 0)
+        with pytest.raises(ValueError):
+            int_unit_makespan([Fraction(0)], 2)
+        with pytest.raises(ValueError):
+            int_unit_makespan([Fraction(1, 2)], 2, budget=0)
+
+    def test_perfect_packing(self):
+        assert _makespans([Fraction(1, 2)] * 4, 2) == {2}
+
+    def test_cardinality_cap(self):
+        assert _makespans([Fraction(1, 100)] * 9, 3) == {3}
+
+    def test_non_dyadic_inputs(self):
+        # inputs on which a float mirror of this loop lost exactness and
+        # failed its own assignment check
+        reqs = [Fraction(101, 120), Fraction(13, 30), Fraction(1),
+                Fraction(29, 40)]
+        assert _makespans(reqs, 3) == {3}
+        reqs = bimodal_fractions(random.Random(4), 200)
+        assert _makespans(reqs, 16) == {56}
+
+
+#: dyadic requirements (denominator 128)
+dyadic = st.builds(
+    Fraction, st.integers(min_value=1, max_value=128), st.just(128)
+)
+
+#: fine dyadics down to 2^-45, one shared denominator per example: the
+#: int backend's LCM scaling must stay exact at 45-bit granularity
+fine_dyadic_lists = st.builds(
+    lambda k, nums: [Fraction(num, 2**k) for num in nums],
+    st.sampled_from([1, 3, 10, 20, 30, 35, 40, 45]),
+    st.lists(
+        st.integers(min_value=1, max_value=2**43), min_size=1, max_size=15
+    ),
+)
+
+
+class TestBackendAgreement:
+    """Every entry point and backend gives the same unit makespan."""
+
+    @given(
+        m=st.integers(min_value=2, max_value=10),
+        reqs=st.lists(dyadic, min_size=1, max_size=25),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_property_matches_exact_scheduler(self, m, reqs):
+        assert len(_makespans(reqs, m)) == 1
+
+    @given(
+        m=st.integers(min_value=2, max_value=8),
+        reqs=fine_dyadic_lists,
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_property_fine_dyadics(self, m, reqs):
+        assert len(_makespans(reqs, m)) == 1
+
+    def test_sub_epsilon_sliver_not_dropped(self):
+        # each unit job leaves a 2^-35 remainder that must be carried:
+        # dropping it under-counts the makespan (2 instead of 3)
+        reqs = [Fraction(1, 2**35), Fraction(1), Fraction(1)]
+        assert _makespans(reqs, 2) == {3}
+
+    def test_seeded_random_corpus(self):
+        rng = random.Random(0xF457F10A7)
+        for _ in range(150):
+            m = rng.randint(2, 8)
+            n = rng.randint(1, 12)
+            reqs = [
+                Fraction(rng.randint(1, 2 ** (k + 1)), 2**k)
+                for k in (rng.choice([2, 7, 16, 33, 40]) for _ in range(n))
+            ]
+            assert len(_makespans(reqs, m)) == 1, (m, reqs)
+
+    def test_large_instance_sane(self):
+        rng = random.Random(1)
+        reqs = [Fraction(rng.randint(1, 64), 64) for _ in range(5000)]
+        makespan = unit_makespan(reqs, 16, Fraction(1), backend="int")
+        total = sum(reqs)
+        assert makespan >= total - 1  # resource lower bound
+        # Corollary 3.9 guarantee envelope
+        assert makespan <= Fraction(16, 15) * (total + 1) + 2
+
+
+class TestPackBins:
+    def test_info_bounds(self):
+        bins, info = int_pack_bins([Fraction(3, 5)] * 3, 2)
+        assert bins >= info["volume_lb"] == 2
+        assert info["cardinality_lb"] == 2
+
+    def test_empty(self):
+        bins, info = int_pack_bins([], 4)
+        assert bins == 0
+        assert info["cardinality_lb"] == 0
