@@ -11,7 +11,7 @@ on the experiment fabric (:mod:`repro.sweep`): each becomes a
 :class:`~repro.sweep.SweepSpec` whose grid points carry their own
 :func:`repro.perf.seed_for`-derived seed, fanned out across CPU cores via
 :func:`repro.sweep.run_sweep` on the hardened
-:func:`repro.perf.parallel_map`.  The tables are bit-identical regardless
+:class:`repro.perf.WorkerPool`.  The tables are bit-identical regardless
 of the worker count (pass ``workers=1`` to force serial execution, or set
 ``REPRO_WORKERS``), and passing ``cache_dir=`` makes repeated sweeps
 incremental — already-solved grid points come from the content-addressed

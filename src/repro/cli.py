@@ -1075,8 +1075,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument(
         "--timeout", type=float, default=None, metavar="SECONDS",
-        help="per-point wall-clock bound enforced by the hardened "
-        "runner (default: unbounded)",
+        help="per-point wall-clock bound, counted from the moment the "
+        "point reaches a worker (default: unbounded)",
     )
     p.add_argument(
         "--retries", type=int, default=2, metavar="N",
@@ -1155,8 +1155,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument(
         "--workers", type=int, default=2, metavar="N",
-        help="concurrent request slots; each request runs in its own "
-        "worker process (default: 2)",
+        help="concurrent request slots, and the size of the worker "
+        "pool they share (default: 2)",
     )
     p.add_argument(
         "--queue-limit", type=int, default=16, metavar="N",

@@ -12,8 +12,9 @@ demand (docs/STATIC_ANALYSIS.md has the full catalogue and rationale):
 * ``derived-identity`` — no clock/pid/uuid/address/unseeded-randomness
   reads in the byte-identity modules (``obs/spans``, ``sweep/spec``,
   ``sweep/store``);
-* ``worker-safe``      — worker callables (``parallel_map``, sweep
-  ``run_point``) must be module-level functions;
+* ``worker-safe``      — worker callables (``parallel_map``, a
+  ``WorkerPool``'s ``map``, sweep ``run_point``) must be module-level
+  functions;
 * ``observer-threaded``— public ``solve_*``/``schedule_*`` entry points
   must accept and forward ``observer=``.
 

@@ -1,12 +1,16 @@
 """Structural rules: ``worker-safe`` and ``observer-threaded``.
 
 ``worker-safe`` guards the process-pool contract of
-:func:`repro.perf.parallel.parallel_map` and the sweep fabric's
+:func:`repro.perf.parallel.parallel_map`, the ``map`` method of a
+:class:`~repro.perf.parallel.WorkerPool` and the sweep fabric's
 ``run_point`` (:mod:`repro.sweep.spec`): callables that fan out to worker
 processes must be module-level functions — a lambda or a function defined
 inside another function is not picklable, and the failure only surfaces
 once the pool actually spawns (i.e. above the serial-fallback thresholds,
-typically mid-sweep on a big run).
+typically mid-sweep on a big run).  A ``.map`` call is a pool call when
+its receiver was bound to ``WorkerPool(...)``/``open_pool(...)`` in the
+same file (assignment or ``with ... as``), is such a call itself, or is a
+parameter annotated with ``WorkerPool``; builtin ``map`` is not checked.
 
 ``observer-threaded`` enforces the telemetry contract from PR 3
 (docs/OBSERVABILITY.md): every public ``solve_*``/``schedule_*`` entry
@@ -25,7 +29,10 @@ from .base import FileContext, Rule, register
 __all__ = ["WorkerSafe", "ObserverThreaded"]
 
 #: call targets whose FIRST positional argument fans out to workers
-_FN_FIRST = frozenset({"parallel_map", "map_reduce"})
+_FN_FIRST = frozenset({"parallel_map"})
+
+#: calls that return a pool whose ``map`` method fans out to workers
+_POOL_FACTORIES = frozenset({"WorkerPool", "open_pool"})
 
 #: call targets whose SECOND positional argument is the ``run_point``
 #: callable (``SweepSpec.from_points(name, run_point, ...)``)
@@ -43,6 +50,29 @@ def _call_name(func) -> Optional[str]:
     return None
 
 
+def _makes_pool(node) -> bool:
+    return (isinstance(node, ast.Call)
+            and _call_name(node.func) in _POOL_FACTORIES)
+
+
+def _pool_receivers(tree: ast.AST) -> Set[str]:
+    """Source text of every expression bound to a pool in *tree*."""
+    bound: Set[str] = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Assign) and _makes_pool(node.value):
+            bound.update(ast.unparse(t) for t in node.targets)
+        elif isinstance(node, ast.AnnAssign) and _makes_pool(node.value):
+            bound.add(ast.unparse(node.target))
+        elif isinstance(node, ast.withitem) and _makes_pool(
+            node.context_expr
+        ) and node.optional_vars is not None:
+            bound.add(ast.unparse(node.optional_vars))
+        elif isinstance(node, ast.arg) and node.annotation is not None \
+                and "WorkerPool" in ast.unparse(node.annotation):
+            bound.add(node.arg)
+    return bound
+
+
 class _WorkerVisitor(ast.NodeVisitor):
     def __init__(self, ctx: FileContext, rule: str) -> None:
         self.ctx = ctx
@@ -51,6 +81,8 @@ class _WorkerVisitor(ast.NodeVisitor):
         self.lambda_names: Set[str] = set()
         #: per-enclosing-function sets of locally-defined function names
         self.local_defs: List[Set[str]] = []
+        #: receivers whose ``.map`` fans out to pool workers
+        self.pools = _pool_receivers(ctx.tree)
 
     # -- scope bookkeeping ---------------------------------------------
 
@@ -99,16 +131,22 @@ class _WorkerVisitor(ast.NodeVisitor):
                 f"picklable module-level function",
             )
 
+    def _is_pool_map(self, func) -> bool:
+        return (
+            isinstance(func, ast.Attribute) and func.attr == "map"
+            and (_makes_pool(func.value)
+                 or ast.unparse(func.value) in self.pools)
+        )
+
     def visit_Call(self, node: ast.Call) -> None:
         name = _call_name(node.func)
-        if name in _FN_FIRST and node.args:
+        fn_first = name in _FN_FIRST or self._is_pool_map(node.func)
+        if fn_first and node.args:
             self._check_callable(node.args[0], name)
         elif name in _RUN_POINT_SECOND and len(node.args) >= 2:
             self._check_callable(node.args[1], name)
         for kw in node.keywords:
-            if kw.arg in _WORKER_KWARGS or (
-                kw.arg == "fn" and name in _FN_FIRST
-            ):
+            if kw.arg in _WORKER_KWARGS or (kw.arg == "fn" and fn_first):
                 self._check_callable(kw.value, name or kw.arg)
         self.generic_visit(node)
 
@@ -119,8 +157,8 @@ class WorkerSafe(Rule):
 
     name = "worker-safe"
     description = (
-        "callables handed to parallel_map/map_reduce or used as a "
-        "sweep's run_point must be module-level functions, not "
+        "callables handed to parallel_map or a WorkerPool's map or used "
+        "as a sweep's run_point must be module-level functions, not "
         "lambdas/closures (process pools pickle by qualified name)"
     )
     scope = ()  # every file — the contract binds call sites anywhere

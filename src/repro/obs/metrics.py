@@ -4,7 +4,7 @@ One :class:`MetricsRegistry` aggregates step-level quantities over any
 number of engine runs.  The design constraints come from the parallel
 sweep runner (:mod:`repro.perf.parallel`):
 
-* **picklable** — a registry crosses a ``ProcessPoolExecutor`` boundary as
+* **picklable** — a registry crosses a worker-process boundary as
   a plain object (only dicts, numbers and :class:`~fractions.Fraction`
   inside);
 * **mergeable and order-insensitive** — :func:`merge_snapshots` of

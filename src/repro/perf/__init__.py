@@ -15,9 +15,12 @@ package keeps the perf-facing entry points and harnesses:
 * :mod:`repro.perf.unitint` — scaled-integer entry points for the
   unit-size algorithm and the Corollary-3.9 bin-packing pipeline
   (:func:`int_unit_makespan`, :func:`int_pack_bins`).
-* :mod:`repro.perf.parallel` — a deterministic
-  :class:`~concurrent.futures.ProcessPoolExecutor` sweep runner used by the
-  experiment harness (:func:`parallel_map`, :func:`seed_for`).
+* :mod:`repro.perf.parallel` — :class:`WorkerPool`, the one supervised
+  process pool (forked workers behind per-worker pipes; a dead or hung
+  worker is replaced, not the pool), shared by the ``serve`` daemon for
+  its lifetime and opened once per :func:`~repro.sweep.run_sweep` call;
+  :func:`parallel_map` is its serial shortcut plus a one-shot pool, and
+  :func:`seed_for` derives worker-count-independent per-trial seeds.
 * :mod:`repro.perf.bench` — the bench-regression harness producing
   ``BENCH_1.json`` (general SRJ, wall-clock per backend, speedup, RSS;
   plus the unit-size int kernel's scaling series up to n = 10⁵).
@@ -32,7 +35,7 @@ from .intkernel import (
     common_denominator,
     solve_srj,
 )
-from .parallel import auto_workers, parallel_map, seed_for
+from .parallel import WorkerPool, auto_workers, parallel_map, seed_for
 from .unitint import int_pack_bins, int_unit_makespan
 
 __all__ = [
@@ -42,6 +45,7 @@ __all__ = [
     "int_unit_makespan",
     "int_pack_bins",
     "parallel_map",
+    "WorkerPool",
     "seed_for",
     "auto_workers",
     "run_bench",

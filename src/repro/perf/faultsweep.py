@@ -8,7 +8,7 @@ the plan on the scaled-integer backend, and validates the recovered
 schedule with :func:`repro.faults.validate_faulted`.
 
 The sweep runs on the experiment fabric (:mod:`repro.sweep`), which fans
-trials out through the hardened :func:`repro.perf.parallel_map` — and,
+trials out over the hardened :class:`repro.perf.WorkerPool` — and,
 because every trial is a pure function of its parameters, the result
 table is bit-identical for any worker count, shard count or cache state
 (tested in ``tests/test_parallel_hardening.py`` and

@@ -7,7 +7,7 @@ The subsystem (docs/SERVICE.md has the full tour):
   codes, framing that stays synchronized across malformed payloads;
 * :mod:`repro.service.server` — the asyncio daemon: bounded admission
   queue with load-shedding, per-request deadlines, worker-crash
-  recovery on the hardened ``parallel_map``, graceful SIGTERM drain
+  recovery on one long-lived ``WorkerPool``, graceful SIGTERM drain
   with checkpointing, heartbeat/metrics telemetry via :mod:`repro.obs`;
 * :mod:`repro.service.handlers` — worker-side request execution (pure,
   picklable, never raises — the malformed-request isolation contract);

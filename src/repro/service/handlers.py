@@ -1,12 +1,12 @@
 """Worker-side request execution: pure, picklable, never raises.
 
-:func:`execute_request` is the one function the daemon hands to the
-hardened :func:`repro.perf.parallel_map` — a **module-level** callable
+:func:`execute_request` is the one function the daemon hands to its
+:class:`repro.perf.WorkerPool` — a **module-level** callable
 (the ``worker-safe`` lint contract) that runs inside a worker process.
 Its contract is the heart of malformed-request isolation: whatever the
 params contain, it returns a structured ``{"ok": ...}`` envelope and
 never lets an exception escape into the pool.  Exceptions would otherwise
-count as "deterministic failures" and propagate out of ``parallel_map``;
+count as "deterministic failures" and propagate out of the pool's ``map``;
 only *infrastructure* failures (a crashed worker, a deadline timeout) are
 allowed to surface, because those are exactly what the daemon's
 retry/deadline machinery handles.

@@ -1,9 +1,11 @@
 """The scheduler-as-a-service daemon behind ``repro-sched serve``.
 
 One asyncio event loop owns all connections and the admission queue;
-actual scheduling work runs in worker *processes* dispatched through the
-hardened :func:`repro.perf.parallel_map` (``isolate=True``), one process
-per in-flight request.  The layering mirrors Uberun's master/daemon
+actual scheduling work runs in worker *processes* of one long-lived
+:class:`repro.perf.parallel.WorkerPool`, forked at start-up before any
+dispatch thread exists.  ``--workers`` dispatch threads each check one
+idle worker out per request, so a request never waits for a worker and
+never pays a process start.  The layering mirrors Uberun's master/daemon
 split: the event loop is the master (framing, admission, deadlines,
 telemetry), the pool workers are the daemons that execute requests.
 
@@ -16,16 +18,17 @@ Robustness contract (gated by ``make serve-smoke``; docs/SERVICE.md):
   the queue so the daemon stays observable under overload.
 * **Deadlines** — each request may carry ``deadline_s``; the default
   applies otherwise.  A request still queued at its deadline is answered
-  ``deadline_exceeded`` without running; a running request is abandoned
-  at the deadline (its worker pool is cancelled and replaced — the slot
-  is reclaimed immediately even if the worker is still unwinding).
+  ``deadline_exceeded`` without running; every attempt of a running
+  request is capped at the time left, and at the deadline its worker is
+  killed and replaced, so the slot is reclaimed at once.  A request is
+  never retried past its deadline.
 * **Malformed-request isolation** — a bad frame answers with a
   structured error and the connection keeps serving (only corrupt
   headers/torn frames close it); bad params fail only that request.
-* **Worker-crash recovery** — a died worker is retried up to
-  ``retries`` times within the deadline; if the crash persists the one
-  affected request fails with ``worker_crashed`` (retryable) while every
-  other request proceeds.
+* **Worker-crash recovery** — a died worker is replaced and its request
+  re-run up to ``retries`` times within the deadline; if the crash
+  persists the one affected request fails with ``worker_crashed``
+  (retryable) while every other request proceeds.
 * **Graceful drain** — on SIGTERM/SIGINT the daemon stops accepting,
   lets in-flight requests finish, answers queued-but-unstarted requests
   with ``shutting_down`` *and* checkpoints them to
@@ -36,7 +39,9 @@ Telemetry rides :mod:`repro.obs`: a :class:`~repro.obs.MetricsRegistry`
 holds ``service.*`` counters (requests, sheds, deadline hits, crashes, a
 latency histogram), heartbeat records stream to
 ``SERVICE_HEARTBEAT.jsonl`` via the shared degrading writer, and the
-``status`` method returns the registry snapshot over the wire.
+``status`` method returns the registry snapshot over the wire, with the
+pool's started-worker count as the ``service.pool_workers_started``
+gauge.
 """
 
 from __future__ import annotations
@@ -54,7 +59,7 @@ from typing import Dict, Optional, Set, Union
 
 from ..obs.metrics import MetricsRegistry
 from ..obs.spans import DegradingJsonlWriter
-from ..perf.parallel import ParallelExecutionError, parallel_map
+from ..perf.parallel import ParallelExecutionError, WorkerPool
 from . import protocol as wire
 from .handlers import execute_request
 
@@ -85,12 +90,12 @@ class ServiceConfig:
     host: str = "127.0.0.1"
     port: int = 0                     #: 0 = ephemeral; see SERVICE.json
     state_dir: str = ".repro-service"
-    workers: int = 2                  #: concurrent in-flight work requests
+    workers: int = 2                  #: dispatch threads = pool workers
     queue_limit: int = 16             #: admission queue bound (shed above)
     default_deadline_s: float = 30.0  #: applied when a request has none
-    timeout: Optional[float] = None   #: extra per-attempt cap (parallel_map)
+    timeout: Optional[float] = None   #: extra per-attempt cap (WorkerPool)
     retries: int = 1                  #: worker-crash re-runs per request
-    backoff: float = 0.05             #: retry backoff base (parallel_map)
+    backoff: float = 0.05             #: retry backoff base (WorkerPool)
     max_frame_bytes: int = wire.DEFAULT_MAX_FRAME_BYTES
     allow_test_faults: bool = False   #: honor the _fault injection param
     heartbeat_interval_s: float = 2.0
@@ -175,6 +180,7 @@ class SchedulerService:
             max_workers=config.workers,
             thread_name_prefix="repro-service-dispatch",
         )
+        self._pool: Optional[WorkerPool] = None
         self._connections: Set[_Connection] = set()
         self._shutdown = asyncio.Event()
         self._draining = False
@@ -263,6 +269,15 @@ class SchedulerService:
 
     async def run(self) -> int:
         """Serve until SIGTERM/SIGINT, then drain; returns the exit code."""
+        # forked before any dispatch thread or client socket exists
+        self._pool = WorkerPool(self.config.workers)
+        try:
+            return await self._serve()
+        finally:
+            self._threads.shutdown(wait=False, cancel_futures=True)
+            self._pool.close()
+
+    async def _serve(self) -> int:
         loop = asyncio.get_running_loop()
         for sig in (signal.SIGTERM, signal.SIGINT):
             try:
@@ -286,11 +301,8 @@ class SchedulerService:
         ]
         beat_task = asyncio.create_task(self._heartbeat_loop())
         self._beat("start")
-        try:
-            await self._shutdown.wait()
-            return await self._drain(dispatchers, beat_task)
-        finally:
-            self._threads.shutdown(wait=False, cancel_futures=True)
+        await self._shutdown.wait()
+        return await self._drain(dispatchers, beat_task)
 
     def _request_shutdown(self, sig: Union[int, signal.Signals]) -> None:
         name = getattr(sig, "name", str(sig))
@@ -468,6 +480,10 @@ class SchedulerService:
         )
 
     def status_snapshot(self) -> Dict:
+        if self._pool is not None:
+            self.metrics.gauge_max(
+                "service.pool_workers_started", self._pool.started
+            )
         return {
             "protocol": wire.PROTOCOL_VERSION,
             "pid": os.getpid(),
@@ -500,7 +516,7 @@ class SchedulerService:
         return sweep_status(entry.build_spec(scale, seed), cache_dir)
 
     # ------------------------------------------------------------------
-    # Work dispatch (queue -> worker process via hardened parallel_map)
+    # Work dispatch (queue -> dispatch thread -> pool worker process)
     # ------------------------------------------------------------------
 
     async def _dispatch_loop(self, slot: int) -> None:
@@ -523,29 +539,23 @@ class SchedulerService:
             finally:
                 self._queue.task_done()
 
-    def _run_in_worker(self, task: Dict, timeout: float) -> Dict:
-        """Blocking (thread-side) bridge into the hardened pool runner."""
-        attempt_cap = (
-            min(timeout, self.config.timeout)
-            if self.config.timeout is not None else timeout
-        )
-        stats: Dict[str, int] = {}
-        try:
-            envelope = parallel_map(
-                execute_request,
-                [task],
-                workers=1,
-                timeout=attempt_cap,
-                retries=self.config.retries,
-                backoff=self.config.backoff,
-                stats=stats,
-                isolate=True,
-            )[0]
-        finally:
-            for key, value in stats.items():
-                if value:
-                    self.metrics.inc(f"service.pool_{key}", value)
-        return envelope
+    def _run_in_worker(
+        self, task: Dict, deadline: float, stats: Dict[str, int]
+    ) -> Dict:
+        """Blocking (thread-side) bridge into the shared worker pool.
+
+        Each dispatch thread holds at most one worker at a time and there
+        are as many threads as workers, so a worker is always free here.
+        """
+        return self._pool.map(
+            execute_request,
+            [task],
+            timeout=self.config.timeout,
+            retries=self.config.retries,
+            backoff=self.config.backoff,
+            stats=stats,
+            deadline=deadline,
+        )[0]
 
     async def _execute(self, slot: int, pending: _Pending) -> None:
         request = pending.request
@@ -594,9 +604,11 @@ class SchedulerService:
         self._in_flight += 1
         t0 = time.monotonic()
         loop = asyncio.get_running_loop()
+        stats: Dict[str, int] = {}
         try:
             envelope = await loop.run_in_executor(
-                self._threads, self._run_in_worker, task, remaining
+                self._threads, self._run_in_worker, task,
+                pending.t_admitted + pending.deadline_s, stats,
             )
         except ParallelExecutionError as exc:
             elapsed = time.monotonic() - pending.t_admitted
@@ -604,14 +616,13 @@ class SchedulerService:
                 self.metrics.inc("service.deadline_exceeded")
                 code, message = wire.E_DEADLINE_EXCEEDED, (
                     f"deadline of {pending.deadline_s}s exceeded; the "
-                    f"worker was cancelled and its slot reclaimed"
+                    f"worker was killed and replaced"
                 )
                 retry_after = None
             else:
                 self.metrics.inc("service.worker_crashes")
                 code, message = wire.E_WORKER_CRASHED, (
-                    f"worker kept failing after "
-                    f"{self.config.retries + 1} attempt(s): {exc}"
+                    f"worker kept failing: {exc}"
                 )
                 retry_after = self._retry_after()
             self.metrics.inc(f"service.errors.{code}")
@@ -629,6 +640,8 @@ class SchedulerService:
         finally:
             self._in_flight -= 1
             self._observe_latency(time.monotonic() - t0)
+            for key, value in stats.items():
+                self.metrics.inc(f"service.pool_{key}", value)
         if envelope.get("ok"):
             self.metrics.inc("service.responses_ok")
             response = wire.ok_response(request.id, envelope["result"])

@@ -329,13 +329,14 @@ def _phase_deadline(client: ServiceClient, reference: Dict) -> None:
         raise SmokeFailure("hung worker's request reported success")
     elapsed = time.monotonic() - t0
     _check(
-        elapsed < 15.0,
-        f"deadline response took {elapsed:.1f}s — worker not reclaimed",
+        elapsed < 1.9,
+        f"deadline response took {elapsed:.1f}s — worker not reclaimed "
+        f"at the 1.0s deadline, or retried past it",
     )
     # the slot was reclaimed: the next request on the same connection works
     result = client.call_checked("solve", dict(_WORKLOAD))
     _assert_solve_matches(result, reference, "solve after deadline overrun")
-    _note(f"deadlines: hung worker cancelled after {elapsed:.1f}s, "
+    _note(f"deadlines: hung worker killed after {elapsed:.1f}s, "
           f"slot reclaimed")
 
 

@@ -12,7 +12,7 @@ one subsystem instead of its own ad-hoc loop:
   point's canonical parameters, so repeated and overlapping sweeps only
   solve new points.
 * :func:`run_sweep` (:mod:`.runner`) — checkpointed, sharded execution on
-  the hardened :func:`repro.perf.parallel_map`; a killed sweep resumes
+  one :class:`repro.perf.WorkerPool` per call; a killed sweep resumes
   where it stopped and merged results are bit-identical for any worker
   count, shard count or interrupt pattern.
 * :func:`scale_grid` (:mod:`.grids`) — the shared small/full scale grids

@@ -6,10 +6,12 @@
    content-addressed :class:`~repro.sweep.store.ResultStore`; cached rows
    are taken as-is (they were solved by the same pure function of the
    same parameters).
-2. **Solve** — the remaining points fan out through the hardened
-   :func:`repro.perf.parallel_map` in batches of ``checkpoint_every``;
-   after each batch every row is persisted, the journal is appended and
-   ``STATE.json`` is rewritten.  A killed sweep therefore resumes exactly
+2. **Solve** — the remaining points fan out over one
+   :class:`~repro.perf.parallel.WorkerPool` opened for the call (or run
+   in-process when one worker is requested or fewer than four points
+   remain), in batches of ``checkpoint_every``; after each batch every
+   row is persisted, the journal is appended and ``STATE.json`` is
+   rewritten.  A killed sweep therefore resumes exactly
    where it stopped: at worst the in-flight batch is re-solved, and
    because points are pure, the re-solved rows are identical.
 3. **Assemble** — rows are ordered by point index, so the merged report
@@ -25,8 +27,8 @@ phase spans and ``metrics=`` (or read ``report.metrics``) for the
 ``sweep.points_total`` / ``sweep.cache_hits`` / ``sweep.points_solved``
 counters.  With a cache dir, a JSONL journal of start/point/end events is
 appended next to the cached rows, and per-batch **heartbeat** records
-(point throughput, cache hits, the retry/timeout/broken-pool counters of
-the hardened runner, an ETA) go to ``HEARTBEAT.jsonl`` — the live feed
+(point throughput, cache hits, the retry/timeout/lost-worker counters of
+the pool, an ETA) go to ``HEARTBEAT.jsonl`` — the live feed
 behind ``repro-sched sweep status --follow`` (see :mod:`repro.obs.report`).
 With ``spans=True`` the run additionally emits a hierarchical span trace
 under ``<checkpoint>/spans/``: the sweep root, its lookup/solve phases,
@@ -57,7 +59,7 @@ from ..obs.spans import (
     shard_writer,
     write_span,
 )
-from ..perf.parallel import BACKOFF_BASE, auto_workers, parallel_map
+from ..perf.parallel import BACKOFF_BASE, auto_workers, open_pool
 from .spec import SweepPoint, SweepSpec
 from .store import NullStore, ResultStore
 
@@ -200,14 +202,16 @@ def run_sweep(
     returns an incomplete report — the deterministic stand-in for a
     mid-sweep kill, used by the resume tests and ``make sweep-smoke``;
     re-running the same call *is* the resume.  ``timeout``/``retries``/
-    ``backoff`` pass through to the hardened
-    :func:`~repro.perf.parallel_map` (the ``sweep run
-    --timeout/--retries/--backoff`` CLI flags land here).
+    ``backoff`` pass through to :meth:`~repro.perf.parallel.WorkerPool.map`
+    (the ``sweep run --timeout/--retries/--backoff`` CLI flags land
+    here); ``timeout`` bounds each point.
     ``spans=True`` (requires a cache dir) emits the hierarchical span
     trace described in the module docstring.
     """
     if checkpoint_every < 1:
         raise ValueError("checkpoint_every must be >= 1")
+    if retries < 0:
+        raise ValueError("retries must be >= 0")
     selected = spec.select(shard)
     store = ResultStore(cache_dir, spec.name) if cache_dir else NullStore()
     if spans and store.dir is None:
@@ -309,13 +313,13 @@ def run_sweep(
 
     t_solve = time.perf_counter()
     try:
-        with span(observer, "sweep/solve"):
+        with span(observer, "sweep/solve"), \
+                open_pool(len(to_run), run_workers) as pool:
             for start in range(0, len(to_run), checkpoint_every):
                 batch = to_run[start : start + checkpoint_every]
-                out = parallel_map(
+                out = pool.map(
                     _solve_task,
                     [make_task(p) for p in batch],
-                    workers=run_workers,
                     timeout=timeout,
                     retries=retries,
                     backoff=backoff,

@@ -16,7 +16,7 @@ Three invariants make the fabric work:
   solve new points (see :mod:`repro.sweep.store`).
 * **Picklability** — ``run_point`` must be a module-level function taking
   one ``dict`` argument and returning a JSON-serializable row, so it fans
-  out through :func:`repro.perf.parallel_map` process pools.
+  out to :class:`repro.perf.WorkerPool` worker processes.
 
 ``version`` is the code-version salt: bump it (e.g. when the kernel or the
 row schema changes) and every cached result is invalidated at once.

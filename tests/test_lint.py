@@ -371,6 +371,36 @@ class TestWorkerSafe:
         )
         assert [f.line for f in findings] == [1, 2, 3]
 
+    def test_pool_map_checked_builtin_map_not(self, tmp_path):
+        findings = _findings(
+            tmp_path, "repro/service/newdaemon.py",
+            """\
+            def worker(item):
+                return item
+
+            class Daemon:
+                def start(self):
+                    self._pool = WorkerPool(2)
+
+                def handle(self, items):
+                    return self._pool.map(lambda x: x, items)
+
+            def sweep(items, shared: WorkerPool):
+                def local(item):
+                    return item
+                with open_pool(len(items)) as pool:
+                    pool.map(local, items)
+                    pool.map(worker, items)
+                shared.map(fn=lambda x: x, items=items)
+                WorkerPool(1).map(local, items)
+                squares = list(map(lambda x: x * x, items))
+                return executor.map(lambda x: x, items)
+            """,
+            rule="worker-safe",
+        )
+        assert [f.line for f in findings] == [9, 15, 17, 18]
+        assert "map()" in findings[0].message
+
     def test_module_level_function_ok(self, tmp_path):
         findings = _findings(
             tmp_path, "repro/analysis/newsweep.py",

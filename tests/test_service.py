@@ -190,33 +190,38 @@ class TestLocateService:
             locate_service(tmp_path)
 
 
-@pytest.fixture(scope="module")
-def daemon(tmp_path_factory):
-    """A real short-lived daemon; torn down with a clean SIGTERM drain."""
-    state_dir = tmp_path_factory.mktemp("svc")
+def _start_daemon(state_dir, *flags):
+    """Boot ``repro serve`` in *state_dir*; returns ``(proc, state)``."""
     proc = subprocess.Popen(
         [
             sys.executable, "-m", "repro", "serve",
             "--state-dir", str(state_dir), "--port", "0",
-            "--workers", "1", "--queue-limit", "4",
-            "--default-deadline", "30", "--heartbeat-interval", "0.5",
+            "--heartbeat-interval", "0.5", *flags,
         ],
         stdout=subprocess.DEVNULL,
         stderr=subprocess.DEVNULL,
     )
     deadline = time.monotonic() + 30
-    state = None
     while time.monotonic() < deadline:
         if proc.poll() is not None:
             raise RuntimeError("daemon exited during startup")
         try:
-            state = locate_service(state_dir)
-            break
+            return proc, locate_service(state_dir)
         except ValueError:
             time.sleep(0.05)
-    if state is None:
-        proc.kill()
-        raise RuntimeError("daemon never published its address")
+    proc.kill()
+    proc.wait()
+    raise RuntimeError("daemon never published its address")
+
+
+@pytest.fixture(scope="module")
+def daemon(tmp_path_factory):
+    """A real short-lived daemon; torn down with a clean SIGTERM drain."""
+    state_dir = tmp_path_factory.mktemp("svc")
+    proc, state = _start_daemon(
+        state_dir, "--workers", "1", "--queue-limit", "4",
+        "--default-deadline", "30",
+    )
     yield {"state_dir": state_dir, "state": state, "proc": proc}
     proc.send_signal(signal.SIGTERM)
     assert proc.wait(timeout=30) == 0  # graceful drain exits 0
@@ -287,3 +292,74 @@ class TestLiveDaemon:
         ]) == 1
         out = json.loads(capsys.readouterr().out)
         assert out["error"]["code"] == wire.E_INVALID_PARAMS
+
+
+class TestWorkerPoolReuse:
+    """The daemon's one pool: workers are reused, lost ones replaced."""
+
+    def test_workers_reused_and_reclaimed(self, tmp_path):
+        from repro.engine.api import solve_srj
+        from repro.workloads import make_instance
+
+        proc, _ = _start_daemon(
+            tmp_path, "--workers", "2", "--allow-test-faults",
+            "--retries", "1", "--backoff", "0.05",
+        )
+        params = {"family": "uniform", "m": 4, "n": 10, "seed": 5}
+        direct = solve_srj(
+            make_instance("uniform", random.Random(5), 4, 10), backend="auto"
+        )
+        try:
+            with ServiceClient.from_state_dir(tmp_path, timeout=10.0) \
+                    as client:
+                def started():
+                    gauges = client.status()["metrics"]["gauges"]
+                    return gauges["service.pool_workers_started"]
+
+                assert started() == 2
+                answers = [client.call_checked("solve", params)
+                           for _ in range(20)]
+                assert started() == 2
+                crashed = client.call_checked("solve", {
+                    **params,
+                    "_fault": {"kind": "crash_once",
+                               "token": str(tmp_path / "crash.token")},
+                })
+                assert (tmp_path / "crash.token").exists()
+                assert all(answer == crashed for answer in answers)
+                assert crashed["makespan"] == direct.makespan
+                assert Fraction(crashed["total_waste"]) == direct.total_waste
+                assert crashed["completion_times"] == {
+                    str(j): t
+                    for j, t in sorted(direct.completion_times.items())
+                }
+                assert started() == 3
+                t0 = time.monotonic()
+                with pytest.raises(ServiceError) as exc_info:
+                    client.call_checked(
+                        "solve",
+                        {**params, "_fault": {"kind": "hang",
+                                              "seconds": 60}},
+                        deadline_s=1.0,
+                    )
+                assert exc_info.value.code == wire.E_DEADLINE_EXCEEDED
+                assert time.monotonic() - t0 < 1.9  # no retry past it
+                assert started() == 4
+                # the replacements hold no copy of this connection: when
+                # the daemon drops it after a fatal frame, the peer sees EOF
+                client.send_raw((2 ** 31).to_bytes(4, "big"))
+                assert client.recv_response()["error"]["code"] == (
+                    wire.E_FRAME_TOO_LARGE
+                )
+                with pytest.raises(ConnectionError):
+                    client.recv_response()
+        finally:
+            t0 = time.monotonic()
+            proc.send_signal(signal.SIGTERM)
+            try:
+                status = proc.wait(timeout=5)
+            finally:
+                proc.kill()
+                proc.wait()
+        assert status == 0
+        assert time.monotonic() - t0 < 5.0
