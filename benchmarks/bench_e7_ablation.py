@@ -3,7 +3,7 @@
 import random
 
 from repro.analysis import run_e7
-from repro.core.scheduler import SlidingWindowScheduler
+from repro.engine.api import solve_srj
 from repro.workloads import make_instance
 
 from conftest import run_table
@@ -15,9 +15,9 @@ def bench_e7_table(benchmark, capsys):
 
 def bench_srj_no_move_m8_n200(benchmark, uniform_instance_m8_n200):
     result = benchmark.pedantic(
-        lambda: SlidingWindowScheduler(
-            uniform_instance_m8_n200, enable_move=False
-        ).run(),
+        lambda: solve_srj(
+            uniform_instance_m8_n200, backend="fraction", enable_move=False
+        ),
         rounds=3,
         iterations=1,
     )

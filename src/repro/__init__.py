@@ -40,7 +40,6 @@ from .core import (
     Job,
     Schedule,
     SchedulerState,
-    SlidingWindowScheduler,
     SRJResult,
     UnitSizeScheduler,
     assert_result_valid,
@@ -71,7 +70,6 @@ __all__ = [
     "make_job",
     "Schedule",
     "SchedulerState",
-    "SlidingWindowScheduler",
     "SRJResult",
     "UnitSizeScheduler",
     "schedule_srj",

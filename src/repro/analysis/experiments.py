@@ -39,7 +39,7 @@ from ..binpacking import (
 )
 from ..core.bounds import makespan_lower_bound
 from ..core.instance import Instance
-from ..core.scheduler import SlidingWindowScheduler, schedule_srj
+from ..core.scheduler import schedule_srj
 from ..core.unit import schedule_unit
 from ..exact import solve_exact
 from ..tasks import (
@@ -545,8 +545,8 @@ def run_e7(scale: str = "small", seed: int = 0) -> ExperimentTable:
                 lb = makespan_lower_bound(inst)
                 full.append(schedule_srj(inst).makespan / lb)
                 nomove.append(
-                    SlidingWindowScheduler(inst, enable_move=False)
-                    .run().makespan / lb
+                    solve_srj(inst, backend="fraction", enable_move=False)
+                    .makespan / lb
                 )
                 greedy.append(schedule_greedy_fill(inst).makespan / lb)
                 listsched.append(

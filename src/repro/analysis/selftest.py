@@ -50,10 +50,9 @@ def run_selftest(trials: int = 25, seed: int = 0) -> SelfTestResult:
     )
     from ..core.bounds import makespan_lower_bound
     from ..core.instance import Instance
-    from ..core.scheduler import SlidingWindowScheduler
     from ..core.unit import schedule_unit
     from ..core.validate import validate_schedule
-    from ..engine.api import unit_makespan
+    from ..engine.api import solve_srj, unit_makespan
 
     rng = random.Random(seed)
     result = SelfTestResult()
@@ -69,8 +68,8 @@ def run_selftest(trials: int = 25, seed: int = 0) -> SelfTestResult:
         inst = Instance.from_requirements(m, reqs, sizes)
         tag = f"trial {trial} (m={m}, n={n})"
 
-        fast = SlidingWindowScheduler(inst, accelerate=True).run()
-        slow = SlidingWindowScheduler(inst, accelerate=False).run()
+        fast = solve_srj(inst, backend="fraction", accelerate=True)
+        slow = solve_srj(inst, backend="fraction", accelerate=False)
         engine = schedule_window_via_engine(inst)
         result.record(
             fast.makespan == slow.makespan == engine.makespan,

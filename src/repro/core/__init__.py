@@ -10,12 +10,7 @@ from .bounds import (
 from .instance import Instance
 from .job import Job, JobPiece, make_job
 from .schedule import Schedule, Step
-from .scheduler import (
-    SlidingWindowScheduler,
-    SRJResult,
-    TraceRun,
-    schedule_srj,
-)
+from .scheduler import SRJResult, TraceRun, schedule_srj
 from .state import SchedulerState
 from .unit import UnitSizeScheduler, schedule_unit, unit_guarantee
 from .validate import (
@@ -35,7 +30,6 @@ __all__ = [
     "Schedule",
     "Step",
     "SchedulerState",
-    "SlidingWindowScheduler",
     "SRJResult",
     "TraceRun",
     "schedule_srj",

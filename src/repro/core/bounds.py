@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from ..numeric import ceil_div, ceil_frac, frac_sum
+from ..numeric import ceil_frac, frac_sum
 from .instance import Instance
 
 
@@ -27,11 +27,9 @@ def resource_lower_bound(instance: Instance) -> int:
 
 
 def processor_lower_bound(instance: Instance) -> int:
-    """``⌈(1/m)·Σ_j ⌈s_j/r_j⌉⌉`` — processor-steps lower bound."""
-    total_parts = sum(
-        ceil_div(job.total_requirement, job.requirement) for job in instance.jobs
-    )
-    return ceil_div(Fraction(total_parts), Fraction(instance.m))
+    """``⌈(1/m)·Σ_j ⌈s_j/r_j⌉⌉ = ⌈Σ_j p_j / m⌉`` — processor-steps lower
+    bound (``s_j/r_j = p_j`` exactly, so it is integer arithmetic)."""
+    return -(-instance.total_steps_lower() // instance.m)
 
 
 def longest_job_lower_bound(instance: Instance) -> int:

@@ -14,7 +14,7 @@ from fractions import Fraction
 from operator import attrgetter
 from typing import Iterable, Optional, Sequence
 
-from ..numeric import Number, ceil_div, frac_sum, to_fraction
+from ..numeric import Number, frac_sum, to_fraction
 from .job import Job
 
 
@@ -165,10 +165,9 @@ class Instance:
         return frac_sum(job.total_requirement for job in self.jobs)
 
     def total_steps_lower(self) -> int:
-        """``Σ_j ⌈s_j/r_j⌉ = Σ_j p_j`` — total processor-steps needed."""
-        return sum(
-            ceil_div(job.total_requirement, job.requirement) for job in self.jobs
-        )
+        """``Σ_j ⌈s_j/r_j⌉ = Σ_j p_j`` — total processor-steps needed
+        (``s_j/r_j = p_j`` exactly, so no rational arithmetic)."""
+        return sum(job.size for job in self.jobs)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"Instance(m={self.m}, n={self.n})"

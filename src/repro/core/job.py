@@ -62,14 +62,15 @@ class Job:
         """Minimum number of time steps the job needs on its own.
 
         A job can absorb at most ``min(r_j, 1)`` resource per step, hence it
-        needs at least ``⌈s_j / min(r_j, 1)⌉ = p_j · ⌈max(r_j, 1)⌉``-ish
-        steps; for ``r_j ≤ 1`` that is exactly ``p_j`` steps.  This equals
-        ``⌈s_j / r_j⌉ = p_j`` when the job receives its full requirement
-        every step; the lower-bound term of Equation (1) uses this.
+        needs ``⌈s_j / min(r_j, 1)⌉`` steps.  Since ``s_j / r_j = p_j``
+        exactly, that is ``p_j`` for ``r_j ≤ 1`` and ``⌈p_j·r_j⌉``
+        otherwise, all in integer arithmetic on ``r_j``'s numerator and
+        denominator.
         """
-        from ..numeric import ceil_div, fmin
-
-        return ceil_div(self.total_requirement, fmin(self.requirement, Fraction(1)))
+        r = self.requirement
+        if r.numerator <= r.denominator:
+            return self.size
+        return -(-self.size * r.numerator // r.denominator)
 
     def with_id(self, new_id: int) -> "Job":
         """Copy of this job with a different id (used when re-indexing)."""

@@ -18,16 +18,15 @@ Two execution modes are provided:
   ``O((m+n)·n)`` running-time argument (proof of Theorem 3.3): steps in
   which nothing finishes are skipped with a closed-form jump.
 
-Since the engine refactor the step loop itself lives in
-:mod:`repro.engine` (:class:`~repro.engine.policies.SlidingWindowPolicy`
-driven by :func:`repro.engine.api.solve_srj`); this module keeps the
-historical entry points on the exact-rational backend and re-exports the
-canonical trace types (:class:`TraceRun`, :class:`SRJResult`, now defined
-in :mod:`repro.engine.trace`).  The step-by-step auxiliary procedures
-(``compute_window``/``compute_assignment`` over a
-:class:`~repro.core.state.SchedulerState`) remain available in
-:mod:`repro.core.window` / :mod:`repro.core.assignment` for the validators
-and the simulator policies.
+The step loop lives in :mod:`repro.engine`: one routine,
+:func:`~repro.engine.policies.window_step`, computes the window and the
+assignment, and :class:`~repro.engine.policies.SlidingWindowPolicy` adds
+the bulk horizon; :func:`repro.engine.api.solve_srj` runs it on either
+numeric backend (``window_size=`` / ``enable_move=`` select the E7
+ablations).  This module keeps :func:`schedule_srj`, the exact-rational
+quickstart entry point, and re-exports the trace types
+(:class:`TraceRun`, :class:`SRJResult`, defined in
+:mod:`repro.engine.trace`).
 
 The produced trace is run-length encoded; :meth:`SRJResult.schedule`
 expands it to a full :class:`~repro.core.schedule.Schedule` on demand.
@@ -35,77 +34,15 @@ expands it to a full :class:`~repro.core.schedule.Schedule` on demand.
 
 from __future__ import annotations
 
-from fractions import Fraction
-from typing import Optional
-
 from ..engine import api as _engine
-from ..engine.backends.fraction import (
-    steps_until_status_change as _steps_until_status_change,
-)
 from ..engine.trace import SRJResult, TraceRun
 from .instance import Instance
 
 __all__ = [
     "SRJResult",
     "TraceRun",
-    "SlidingWindowScheduler",
     "schedule_srj",
 ]
-
-#: trivial m = 1 serial scheduler (kept under its historical name)
-_run_serial = _engine.run_serial
-
-# re-exported for the bulk-horizon tests (historical location)
-_steps_until_status_change = _steps_until_status_change
-
-
-class SlidingWindowScheduler:
-    """Listing 1 — the ``2 + 1/(m-2)``-approximation for SRJ.
-
-    Runs the engine on the exact-rational backend; use
-    :func:`repro.perf.solve_srj` (or :func:`repro.engine.api.solve_srj`)
-    to select the scaled-integer backend instead.
-
-    Parameters
-    ----------
-    instance:
-        The SRJ instance (jobs canonically ordered by requirement).
-    accelerate:
-        Use the closed-form step-skipping fast path (default True).  The
-        produced schedule is identical to the step-exact mode; tests assert
-        this equivalence property-based.
-    window_size:
-        Window size parameter; defaults to ``m - 1`` (the reserved-processor
-        scheme of Section 3).  The ablation experiment E7 overrides it.
-    enable_move:
-        Whether MoveWindowRight runs (ablation E7 disables it; disabling
-        voids the approximation guarantee).
-    """
-
-    def __init__(
-        self,
-        instance: Instance,
-        accelerate: bool = True,
-        window_size: Optional[int] = None,
-        enable_move: bool = True,
-    ) -> None:
-        self.instance = instance
-        self.accelerate = accelerate
-        self.window_size = (
-            window_size if window_size is not None else max(instance.m - 1, 1)
-        )
-        self.enable_move = enable_move
-        self.budget = Fraction(1)
-
-    def run(self) -> SRJResult:
-        """Execute the algorithm and return the result."""
-        return _engine.solve_srj(
-            self.instance,
-            backend="fraction",
-            accelerate=self.accelerate,
-            window_size=self.window_size,
-            enable_move=self.enable_move,
-        )
 
 
 def schedule_srj(

@@ -39,7 +39,7 @@ class UnitSizeScheduler:
         if not instance.is_unit_size:
             raise ValueError(
                 "UnitSizeScheduler requires unit-size jobs; use "
-                "SlidingWindowScheduler for general sizes"
+                "solve_srj for general sizes"
             )
         self.instance = instance
         self.budget = Fraction(1)

@@ -22,18 +22,48 @@ independent of the makespan):
 
 :func:`assert_valid` / :func:`assert_result_valid` raise
 ``ScheduleError`` with all violations listed.
+
+:func:`window_violations` checks the other half of the algorithm's
+contract: Definition 3.1's job-window properties of one window against
+an engine state (``J(t-1)`` before the step).  A *job window*
+``W ⊆ J(t-1)`` for time step ``t`` satisfies
+
+(a) contiguity: jobs of ``J(t-1)`` between two window members are members;
+(b) ``r(W \\ {max W}) < R`` (all but the rightmost job fit fully into the
+    resource budget ``R``; the paper uses ``R = 1``);
+(c) at most one job of ``W`` is fractured;
+(d) every started job of ``J(t-1)`` lies inside ``W``.
+
+``W`` is *k-maximal* if additionally ``|W| ≤ k`` and
+
+(e) ``|W| < k  ⇒  L_t(W) = ∅`` (size-deficient windows hug the left border);
+(f) ``r(W) < R  ⇒  R_t(W) = ∅`` (resource-deficient windows hug the right
+    border).
+
+Windows are sorted lists of job ids; the *universe* is the sorted list of
+eligible unfinished job ids (``J(t-1)`` by default).
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import TYPE_CHECKING, Dict, Iterable, List, Tuple
+from typing import (
+    TYPE_CHECKING,
+    Dict,
+    Iterable,
+    List,
+    Optional,
+    Sequence,
+    Tuple,
+)
 
 from .instance import Instance
 from .schedule import Schedule
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
+    from ..engine.state import EngineState
     from .scheduler import SRJResult
 
 
@@ -232,3 +262,98 @@ def assert_result_valid(
             f"{len(report.violations)} violation(s):\n  "
             + "\n  ".join(report.violations)
         )
+
+
+# ---------------------------------------------------------------------------
+# Definition 3.1 — job-window properties
+# ---------------------------------------------------------------------------
+
+
+def left_neighbors(
+    universe: Sequence[int], window: Sequence[int]
+) -> List[int]:
+    """``L_t(W)`` relative to *universe*: eligible ids < min(W)."""
+    if not window:
+        return []
+    return list(universe[: bisect_left(universe, window[0])])
+
+
+def right_neighbors(
+    universe: Sequence[int], window: Sequence[int]
+) -> List[int]:
+    """``R_t(W)`` relative to *universe*: eligible ids > max(W).
+
+    For an empty window this is the whole universe (paper convention
+    ``R_t(∅) := J(t-1)``).
+    """
+    if not window:
+        return list(universe)
+    return list(universe[bisect_right(universe, window[-1]):])
+
+
+def window_requirement(state: "EngineState", window: Sequence[int]):
+    """``r(W) = Σ_{j∈W} r_j`` (full requirements, not remaining)."""
+    total = state.zero
+    for j in window:
+        total += state.req[j]
+    return total
+
+
+def window_requirement_without_max(
+    state: "EngineState", window: Sequence[int]
+):
+    """``r(W \\ {max W})`` of a sorted window."""
+    return window_requirement(state, window[:-1])
+
+
+def window_violations(
+    state: "EngineState",
+    window: Sequence[int],
+    k: int,
+    budget,
+    universe: Optional[Sequence[int]] = None,
+) -> List[str]:
+    """Return the Definition 3.1 properties violated by *window* (empty list
+    if the window is a k-maximal job window for the current state).
+
+    Property names: ``'a'`` contiguity, ``'b'`` resource-minus-max, ``'c'``
+    at most one fractured, ``'d'`` started jobs inside, ``'size'`` |W| ≤ k,
+    ``'e'`` left-maximality, ``'f'`` right-maximality.  *budget* is in the
+    state's working domain.
+    """
+    if universe is None:
+        universe = state.unfinished()
+    violations: List[str] = []
+    ordered = sorted(window)
+    if ordered:
+        lo_i = bisect_left(universe, ordered[0])
+        hi_i = bisect_right(universe, ordered[-1])
+        if list(universe[lo_i:hi_i]) != ordered:
+            violations.append("a")
+        if window_requirement_without_max(state, ordered) >= budget:
+            violations.append("b")
+    if sum(1 for j in window if state.is_fractured(j)) > 1:
+        violations.append("c")
+    members = set(window)
+    if any(j not in members and state.is_started(j) for j in universe):
+        violations.append("d")
+    if len(window) > k:
+        violations.append("size")
+    if len(window) < k and left_neighbors(universe, ordered):
+        violations.append("e")
+    if window_requirement(state, window) < budget and right_neighbors(
+        universe, ordered
+    ):
+        violations.append("f")
+    return violations
+
+
+def is_k_maximal(
+    state: "EngineState",
+    window: Sequence[int],
+    k: int,
+    budget,
+    universe: Optional[Sequence[int]] = None,
+) -> bool:
+    """True iff *window* is a k-maximal job window (Definition 3.1)."""
+    return not window_violations(state, window, k, budget, universe)

@@ -1,13 +1,13 @@
 """LCM-rescaled exact integer backend.
 
-**Scaling argument** (generalizing ``perf/intkernel.py`` from PR 1 to every
-engine policy).  Let ``D`` be the least common multiple of the denominators
-of the step budget ``R`` and all per-job requirements ``r_j``.  Rescale
-every quantity by ``D``: ``R_j := D·r_j``, ``S_j := D·s_j = p_j·R_j``,
-``B := D·R`` — all integers.  Every quantity any engine policy derives from
-these is obtained by sums, differences, integer multiples and minima, so by
-induction every remaining requirement, share and waste stays an integer
-multiple of ``1/D`` and is represented exactly by its scaled integer.
+**Scaling argument** (shared by every engine policy).  Let ``D`` be the
+least common multiple of the denominators of the step budget ``R`` and all
+per-job requirements ``r_j``.  Rescale every quantity by ``D``:
+``R_j := D·r_j``, ``S_j := D·s_j = p_j·R_j``, ``B := D·R`` — all integers.
+Every quantity any engine policy derives from these is obtained by sums,
+differences, integer multiples and minima, so by induction every
+remaining requirement, share and waste stays an integer multiple of
+``1/D`` and is represented exactly by its scaled integer.
 Every predicate — window feasibility ``r(W \\ {max W}) < R``, the Case-1/2
 split ``r(W \\ F) ≥ R``, the fractured predicate ``s_j(t) mod r_j ≠ 0``,
 the unit-algorithm virtual ordering, the Listing-3/4 task-packing test

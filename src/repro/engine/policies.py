@@ -1,32 +1,36 @@
 """Engine policies: per-step decisions for every scheduler layer.
 
-Each policy is a faithful transliteration of the corresponding reference
-scheduler's step body onto :class:`~repro.engine.state.EngineState`,
-written generically over the numeric backend (see
-``repro.engine.backends.base`` for the closed-operation contract; this
-module is covered by the ``hotpath-exact`` lint rule).  The policies:
+Each policy decides one step (or one run of identical steps) on an
+:class:`~repro.engine.state.EngineState`, written generically over the
+numeric backend (see ``repro.engine.backends.base`` for the
+closed-operation contract; this module is covered by the
+``hotpath-exact`` lint rule).  The policies:
 
-* :class:`SlidingWindowPolicy` — Listing 1 (general SRJ), the hot loop
-  formerly in ``perf/intkernel.py`` / ``core/scheduler.py``;
+* :func:`window_step` — Listing 1 lines 2–20 (window and assignment),
+  the one implementation behind every Listing-1 path;
+* :class:`SlidingWindowPolicy` — general SRJ (:func:`~repro.engine.api
+  .solve_srj`): :func:`window_step` plus the Theorem 3.3 bulk horizon;
 * :class:`UnitWindowPolicy` — the unit-size m-maximal-window variant
-  (``core/unit.py`` / ``perf/unitint.py``);
+  (``core/unit.py``, the bin-packing pipeline);
 * :class:`SequentialTaskPolicy` — the Listing-3/4 SRT engine
   (``tasks/sequential.py``);
 * :class:`OnlineWindowPolicy` / :class:`OnlineListPolicy` — the
-  arrival-aware schedulers (``online/scheduler.py``);
+  arrival-aware schedulers (``online/scheduler.py``); the window policy
+  runs :func:`window_step` over the released jobs;
 * :class:`AssignedQueuePolicy` — the fixed-assignment head-of-queue
   distribution policies (``assigned/scheduler.py``).
 
-All share vectors, windows and error messages are kept bit-identical to
-the reference implementations; the cross-backend equivalence suites
-(``tests/test_perf_backends.py``, ``tests/test_engine_backends.py``)
-assert this.
+The simulator's window policy (``repro.simulator.policies``) runs
+:func:`window_step` too.  Both backends make bit-identical decisions; the
+cross-backend suites (``tests/test_perf_backends.py``,
+``tests/test_engine_backends.py``) and the golden digests
+(``tests/test_golden_digests.py``) assert this.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right, insort
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from .loop import StepDecision
 from .state import EngineState
@@ -38,21 +42,215 @@ __all__ = [
     "OnlineWindowPolicy",
     "OnlineListPolicy",
     "AssignedQueuePolicy",
-    "compute_window",
-    "compute_assignment",
+    "window_step",
 ]
 
 
 # ---------------------------------------------------------------------------
-# Listing 1 — the general SRJ sliding window (one flat hot loop)
+# Listing 1 — the general SRJ sliding window (one flat routine)
 # ---------------------------------------------------------------------------
 
 
+def window_step(  # noqa: C901
+    state: EngineState,
+    window: List,
+    universe: List,
+    size: int,
+    budget,
+    enable_move: bool = True,
+) -> Tuple[StepDecision, List]:
+    """Listing 1 lines 2–20 for one decision: the (m-1)-maximal window and
+    its Case-1/Case-2 assignment.
+
+    *window* is the previous step's window, *universe* the sorted keys of
+    the eligible unfinished jobs (``J(t-1)``, or the released part of it
+    for the online layer).  The window carries over its unfinished jobs,
+    grows left (gated by the DESIGN.md §2 repair), grows right, and slides
+    right while resource-deficient and ``min W`` is unstarted.
+    *enable_move* off (ablation E7) skips the slide and the
+    reserved-processor start and tolerates a second fractured job.
+
+    Returns ``(decision, next_window)``: the step's shares, case, waste and
+    Theorem-3.3 step flags with ``count = 1``, and the window to carry
+    into the next step (the reserved-processor start joins it).  An empty
+    window yields an empty decision wasting the whole budget.  Deliberately
+    one flat function over plain dict/list lookups: on the integer backend
+    Python-level call overhead is what remains of the cost.
+    """
+    S = state.remaining
+    R = state.req
+
+    # ---- window: Lines 2-5 of Listing 1 ---------------------------------
+    # carry over the unfinished part of the previous window
+    window = [j for j in window if S[j] > 0]
+    # GrowWindowLeft with the DESIGN.md §2 repair: gate each add on
+    # r((W ∪ {j}) \ {max W}) < B so property (b) is preserved
+    if window:
+        lo = bisect_left(universe, window[0])
+        r_wo_max = 0
+        for j in window:
+            r_wo_max += R[j]
+        r_wo_max -= R[window[-1]]
+    else:
+        lo = 0
+        r_wo_max = 0
+    while len(window) < size and lo > 0:
+        new_job = universe[lo - 1]
+        if r_wo_max + R[new_job] >= budget:
+            break
+        window.insert(0, new_job)
+        r_wo_max += R[new_job]
+        lo -= 1
+    # GrowWindowRight while r(W) < B  (left growth never touches
+    # max W, so r(W) = r_wo_max + R[max W])
+    if window:
+        r_w = r_wo_max + R[window[-1]]
+        hi = bisect_right(universe, window[-1])
+    else:
+        r_w = 0
+        hi = 0
+    len_u = len(universe)
+    while r_w < budget and hi < len_u and len(window) < size:
+        new_job = universe[hi]
+        window.append(new_job)
+        r_w += R[new_job]
+        hi += 1
+    # MoveWindowRight while resource-deficient and min W unstarted
+    if enable_move and window:
+        total = state.total
+        while r_w < budget and hi < len_u:
+            j0 = window[0]
+            if 0 < S[j0] < total[j0]:  # started jobs are never dropped
+                break
+            window.pop(0)
+            r_w -= R[j0]
+            new_job = universe[hi]
+            window.append(new_job)
+            r_w += R[new_job]
+            hi += 1
+    if not window:
+        return StepDecision(shares={}, waste=budget), window
+
+    # ---- assignment: Listing 1 lines 6-20 -------------------------------
+    # F = set of fractured window jobs (|F| ≤ 1 unless enable_move is off)
+    iota = None
+    for j in window:
+        if S[j] % R[j]:
+            if iota is not None:
+                if enable_move:
+                    fractured = [jj for jj in window if S[jj] % R[jj]]
+                    raise RuntimeError(
+                        f"window invariant broken: {len(fractured)} "
+                        f"fractured jobs ({fractured}); the "
+                        "algorithm guarantees at most one"
+                    )
+                break  # tolerant mode only needs the first ι
+            iota = j
+    max_w = window[-1]
+    r_w_minus_f = r_w - R[iota] if iota is not None else r_w
+    shares: Dict = {}
+    n_fully_served = 0
+    extra_started = None
+
+    if r_w_minus_f >= budget:
+        # ------------------------------- Case 1 --------------------------
+        case = "case1"
+        if iota == max_w:
+            if enable_move:
+                raise RuntimeError(
+                    "Case 1 with fractured max W contradicts window "
+                    "property (b)"
+                )
+            iota = None  # tolerant mode: demote ι
+        used = 0
+        for j in window:
+            if j == iota or j == max_w:
+                continue
+            rj = R[j]
+            share = rj if rj < S[j] else S[j]
+            shares[j] = share
+            if share == rj:
+                n_fully_served += 1
+            used += share
+        if iota is not None:
+            q = S[iota] % R[iota]  # q_ι(t-1) ∈ (0, r_ι), ≤ s_ι
+            shares[iota] = q
+            used += q
+        remaining = budget - used
+        if remaining < 0:
+            raise RuntimeError("resource overuse in Case 1 assignment")
+        share = remaining
+        if R[max_w] < share:
+            share = R[max_w]
+        if S[max_w] < share:
+            share = S[max_w]
+        if share > 0:
+            shares[max_w] = share
+            if share == R[max_w]:
+                n_fully_served += 1
+        waste = budget - used - share
+    else:
+        # ------------------------------- Case 2 --------------------------
+        case = "case2"
+        used = 0
+        for j in window:
+            if j == iota:
+                continue
+            rj = R[j]
+            share = rj if rj < S[j] else S[j]
+            shares[j] = share
+            if share == rj:
+                n_fully_served += 1
+            used += share
+        leftover = budget - used
+        iota_finishing = iota is None
+        if iota is not None:
+            share = leftover
+            if R[iota] < share:
+                share = R[iota]
+            if S[iota] < share:
+                share = S[iota]
+            if share > 0:
+                shares[iota] = share
+            iota_finishing = share == S[iota]
+            leftover -= share
+        # the Case-2 leftover starts min R_t(W) on the reserved processor,
+        # only when no fractured job survives the step (with maximal
+        # windows leftover > 0 already implies that; windows that lost
+        # maximality under online arrivals need the explicit check)
+        if leftover > 0 and enable_move and iota_finishing and hi < len_u:
+            new_job = universe[hi]
+            share = leftover
+            if R[new_job] < share:
+                share = R[new_job]
+            if S[new_job] < share:
+                share = S[new_job]
+            if share > 0:
+                shares[new_job] = share
+                extra_started = new_job
+                if share == R[new_job]:
+                    n_fully_served += 1
+                leftover -= share
+        waste = leftover
+
+    decision = StepDecision(
+        shares=shares,
+        case=case,
+        window=list(window),
+        waste=waste,
+        full_jobs_step=n_fully_served >= state.m - 2,
+        full_resource_step=waste == 0,  # Σ shares ≥ B ⇔ zero waste
+    )
+    # the reserved-processor start joins the window (it is > max W)
+    if extra_started is not None:
+        window.append(extra_started)
+    return decision, window
+
+
 class SlidingWindowPolicy:
-    """Listing 1: (m-1)-maximal window + Case-1/Case-2 assignment + bulk
-    horizon (Theorem 3.3).  Deliberately one flat ``decide`` over plain
-    dict/list lookups — after exact-arithmetic normalization is gone
-    (integer backend), Python-level call overhead is what remains."""
+    """Listing 1 on the library path: :func:`window_step` per decision plus
+    the Theorem 3.3 bulk horizon — a share vector that provably stays
+    identical is applied for all its steps at once."""
 
     def __init__(
         self,
@@ -64,218 +262,48 @@ class SlidingWindowPolicy:
         self.budget = budget
         self.size = size
         self.enable_move = enable_move
-        # strict / allow_extra_start follow enable_move exactly as in the
-        # reference scheduler (compute_assignment was called with
-        # allow_extra_start=enable_move, strict=enable_move)
-        self.strict = enable_move
         self.accelerate = accelerate
         self.window: List = []
 
-    def decide(self, state: EngineState) -> StepDecision:  # noqa: C901
-        S = state.remaining
-        R = state.req
-        total = state.total
-        unfinished = state._unfinished
-        B = self.budget
-        size = self.size
-        strict = self.strict
-        enable_move = self.enable_move
-
-        # ---- window: Lines 2-5 of Listing 1 -----------------------------
-        # carry over the unfinished part of the previous window
-        window = [j for j in self.window if S[j] > 0]
-        # GrowWindowLeft with the DESIGN.md §2 repair: gate each add on
-        # r((W ∪ {j}) \ {max W}) < B so property (b) is preserved
-        if window:
-            lo = bisect_left(unfinished, window[0])
-            r_wo_max = 0
-            for j in window:
-                r_wo_max += R[j]
-            r_wo_max -= R[window[-1]]
-        else:
-            lo = 0
-            r_wo_max = 0
-        while len(window) < size and lo > 0:
-            new_job = unfinished[lo - 1]
-            if r_wo_max + R[new_job] >= B:
-                break
-            window.insert(0, new_job)
-            r_wo_max += R[new_job]
-            lo -= 1
-        # GrowWindowRight while r(W) < B  (left growth never touches
-        # max W, so r(W) = r_wo_max + R[max W])
-        if window:
-            r_w = r_wo_max + R[window[-1]]
-            hi = bisect_right(unfinished, window[-1])
-        else:
-            r_w = 0
-            hi = 0
-        len_u = len(unfinished)
-        while r_w < B and hi < len_u and len(window) < size:
-            new_job = unfinished[hi]
-            window.append(new_job)
-            r_w += R[new_job]
-            hi += 1
-        # MoveWindowRight while resource-deficient and min W unstarted
-        if enable_move and window:
-            while r_w < B and hi < len_u:
-                j0 = window[0]
-                if 0 < S[j0] < total[j0]:  # started jobs are never dropped
-                    break
-                window.pop(0)
-                r_w -= R[j0]
-                new_job = unfinished[hi]
-                window.append(new_job)
-                r_w += R[new_job]
-                hi += 1
-        if not window:
+    def decide(self, state: EngineState) -> StepDecision:
+        decision, self.window = window_step(
+            state, self.window, state._unfinished, self.size, self.budget,
+            self.enable_move,
+        )
+        if not decision.window:
             raise RuntimeError(
                 "empty window with unfinished jobs — window bug"
             )
-
-        # ---- assignment: Listing 1 lines 6-20 ---------------------------
-        # F = set of fractured window jobs (|F| ≤ 1 when strict)
-        iota = None
-        for j in window:
-            if S[j] % R[j]:
-                if iota is not None:
-                    if strict:
-                        fractured = [jj for jj in window if S[jj] % R[jj]]
-                        raise RuntimeError(
-                            f"window invariant broken: {len(fractured)} "
-                            f"fractured jobs ({fractured}); the "
-                            "algorithm guarantees at most one"
-                        )
-                    break  # tolerant mode only needs the first ι
-                iota = j
-        max_w = window[-1]
-        r_w_minus_f = r_w - R[iota] if iota is not None else r_w
-        shares: Dict = {}
-        n_fully_served = 0
-        extra_started = None
-
-        if r_w_minus_f >= B:
-            # --------------------------- Case 1 --------------------------
-            case = "case1"
-            if iota == max_w:
-                if strict:
-                    raise RuntimeError(
-                        "Case 1 with fractured max W contradicts window "
-                        "property (b)"
-                    )
-                iota = None  # tolerant mode: demote ι
-            used = 0
-            for j in window:
-                if j == iota or j == max_w:
-                    continue
-                rj = R[j]
-                share = rj if rj < S[j] else S[j]
-                shares[j] = share
-                if share == rj:
-                    n_fully_served += 1
-                used += share
-            if iota is not None:
-                q = S[iota] % R[iota]  # q_ι(t-1) ∈ (0, r_ι), ≤ s_ι
-                shares[iota] = q
-                used += q
-            remaining = B - used
-            if remaining < 0:
-                raise RuntimeError("resource overuse in Case 1 assignment")
-            share = remaining
-            if R[max_w] < share:
-                share = R[max_w]
-            if S[max_w] < share:
-                share = S[max_w]
-            if share > 0:
-                shares[max_w] = share
-                if share == R[max_w]:
-                    n_fully_served += 1
-            waste = B - used - share
-        else:
-            # --------------------------- Case 2 --------------------------
-            case = "case2"
-            used = 0
-            for j in window:
-                if j == iota:
-                    continue
-                rj = R[j]
-                share = rj if rj < S[j] else S[j]
-                shares[j] = share
-                if share == rj:
-                    n_fully_served += 1
-                used += share
-            leftover = B - used
-            iota_finishing = iota is None
-            if iota is not None:
-                share = leftover
-                if R[iota] < share:
-                    share = R[iota]
-                if S[iota] < share:
-                    share = S[iota]
-                if share > 0:
-                    shares[iota] = share
-                iota_finishing = share == S[iota]
-                leftover -= share
-            # Case-2 leftover starts min R_t(W) on the reserved
-            # processor (only when no fractured job survives the step)
-            if leftover > 0 and enable_move and iota_finishing:
-                if hi < len_u:
-                    new_job = unfinished[hi]
-                    share = leftover
-                    if R[new_job] < share:
-                        share = R[new_job]
-                    if S[new_job] < share:
-                        share = S[new_job]
-                    if share > 0:
-                        shares[new_job] = share
-                        extra_started = new_job
-                        if share == R[new_job]:
-                            n_fully_served += 1
-                        leftover -= share
-            waste = leftover
-        if not shares:
-            raise RuntimeError("no resource assigned — assignment bug")
-
+        if not self.accelerate:
+            return decision
         # ---- bulk horizon (Theorem 3.3 step skipping) -------------------
-        count = 1
-        if self.accelerate:
+        S = state.remaining
+        R = state.req
+        shares = decision.shares
+        max_w = decision.window[-1]
+        sole_stable_partial = None
+        n_partial = 0
+        for j, c in shares.items():
+            if 0 < c < R[j]:
+                n_partial += 1
+                sole_stable_partial = j
+        if n_partial != 1 or sole_stable_partial != max_w:
             sole_stable_partial = None
-            n_partial = 0
-            for j, c in shares.items():
-                if 0 < c < R[j]:
-                    n_partial += 1
-                    sole_stable_partial = j
-            if n_partial != 1 or sole_stable_partial != max_w:
-                sole_stable_partial = None
-            steps_until = state.ctx.steps_until_status_change
-            horizon = 0
-            for j, c in shares.items():
-                if c <= 0:
-                    continue
-                limit = S[j] // c
-                if limit < 1:
-                    limit = 1
-                if c < R[j] and j != sole_stable_partial:
-                    i = steps_until(S[j], c, R[j])
-                    if i is not None and i < limit:
-                        limit = i
-                if horizon == 0 or limit < horizon:
-                    horizon = limit
-            count = horizon if horizon >= 1 else 1
-
-        decision = StepDecision(
-            shares=shares,
-            count=count,
-            case=case,
-            window=list(window),
-            waste=waste,
-            full_jobs_step=n_fully_served >= state.m - 2,
-            full_resource_step=waste == 0,  # Σ shares ≥ B ⇔ zero waste
-        )
-        # extra-started job joins the window (it is > max W by choice)
-        if extra_started is not None:
-            window.append(extra_started)
-        self.window = window
+        steps_until = state.ctx.steps_until_status_change
+        horizon = 0
+        for j, c in shares.items():
+            if c <= 0:
+                continue
+            limit = S[j] // c
+            if limit < 1:
+                limit = 1
+            if c < R[j] and j != sole_stable_partial:
+                i = steps_until(S[j], c, R[j])
+                if i is not None and i < limit:
+                    limit = i
+            if horizon == 0 or limit < horizon:
+                horizon = limit
+        decision.count = horizon if horizon >= 1 else 1
         return decision
 
 
@@ -604,192 +632,6 @@ def _task_unit_window(order, iota, size, budget, state):
 
 
 # ---------------------------------------------------------------------------
-# Generic window/assignment helpers (used by the online policy)
-# ---------------------------------------------------------------------------
-
-
-def compute_window(
-    state: EngineState, previous: List, size: int, budget, universe: List
-) -> List:
-    """Lines 2-5 of Listing 1 over an explicit *universe* (sorted eligible
-    job keys): intersect with the universe, grow left (property-(b)
-    gated), grow right, move right."""
-    R = state.req
-    alive = set(universe)
-    window = [j for j in previous if j in alive]
-    if window:
-        lo = bisect_left(universe, window[0])
-        r_wo_max = 0
-        for j in window:
-            r_wo_max += R[j]
-        r_wo_max -= R[window[-1]]
-    else:
-        lo = 0
-        r_wo_max = 0
-    while len(window) < size and lo > 0:
-        new_job = universe[lo - 1]
-        if r_wo_max + R[new_job] >= budget:
-            break
-        window.insert(0, new_job)
-        r_wo_max += R[new_job]
-        lo -= 1
-    if window:
-        r_w = r_wo_max + R[window[-1]]
-        hi = bisect_right(universe, window[-1])
-    else:
-        r_w = 0
-        hi = 0
-    len_u = len(universe)
-    while r_w < budget and hi < len_u and len(window) < size:
-        new_job = universe[hi]
-        window.append(new_job)
-        r_w += R[new_job]
-        hi += 1
-    if window:
-        while (
-            r_w < budget
-            and hi < len_u
-            and not state.is_started(window[0])
-        ):
-            dropped = window.pop(0)
-            r_w -= R[dropped]
-            new_job = universe[hi]
-            window.append(new_job)
-            r_w += R[new_job]
-            hi += 1
-    return window
-
-
-class WindowAssignment:
-    """Share vector + bookkeeping facts of one Listing-1 assignment."""
-
-    __slots__ = ("shares", "case", "extra_started", "waste", "used")
-
-    def __init__(self) -> None:
-        self.shares: Dict = {}
-        self.case = ""
-        self.extra_started = None
-        self.waste = 0
-        self.used = 0
-
-
-def compute_assignment(
-    state: EngineState,
-    window: List,
-    budget,
-    universe: List,
-    allow_extra_start: bool = True,
-    strict: bool = True,
-) -> WindowAssignment:
-    """Listing 1 lines 6-20 over an explicit universe (cf. the reference
-    ``core/assignment.compute_assignment``); shares are capped at
-    ``min(r_j, s_j(t-1))``, waste is explicit."""
-    S = state.remaining
-    R = state.req
-    result = WindowAssignment()
-    if not window:
-        result.waste = budget
-        return result
-    iota = None
-    for j in window:
-        if S[j] % R[j]:
-            if iota is not None:
-                if strict:
-                    fractured = [jj for jj in window if S[jj] % R[jj]]
-                    raise RuntimeError(
-                        f"window invariant broken: {len(fractured)} "
-                        f"fractured jobs ({fractured}); the "
-                        "algorithm guarantees at most one"
-                    )
-                break
-            iota = j
-    max_w = window[-1]
-    r_w_minus_f = 0
-    for j in window:
-        if j != iota:
-            r_w_minus_f += R[j]
-    shares = result.shares
-
-    if r_w_minus_f >= budget:
-        # ------------------------------- Case 1 --------------------------
-        result.case = "case1"
-        if iota == max_w:
-            if strict:
-                raise RuntimeError(
-                    "Case 1 with fractured max W contradicts window "
-                    "property (b)"
-                )
-            iota = None  # tolerant mode: demote ι
-        used = 0
-        for j in window:
-            if j == iota or j == max_w:
-                continue
-            rj = R[j]
-            share = rj if rj < S[j] else S[j]
-            shares[j] = share
-            used += share
-        if iota is not None:
-            q = S[iota] % R[iota]
-            shares[iota] = q
-            used += q
-        remaining = budget - used
-        if remaining < 0:
-            raise RuntimeError("resource overuse in Case 1 assignment")
-        share = remaining
-        if R[max_w] < share:
-            share = R[max_w]
-        if S[max_w] < share:
-            share = S[max_w]
-        if share > 0:
-            shares[max_w] = share
-        result.waste = budget - used - share
-        result.used = used + share
-    else:
-        # ------------------------------- Case 2 --------------------------
-        result.case = "case2"
-        used = 0
-        for j in window:
-            if j == iota:
-                continue
-            rj = R[j]
-            share = rj if rj < S[j] else S[j]
-            shares[j] = share
-            used += share
-        leftover = budget - used
-        iota_finishing = iota is None
-        if iota is not None:
-            share = leftover
-            if R[iota] < share:
-                share = R[iota]
-            if S[iota] < share:
-                share = S[iota]
-            if share > 0:
-                shares[iota] = share
-            iota_finishing = share == S[iota]
-            used += share
-            leftover -= share
-        # the reserved-processor start must not create a second fracture:
-        # only taken when no fractured job survives this step
-        if leftover > 0 and allow_extra_start and iota_finishing:
-            hi = bisect_right(universe, window[-1])
-            if hi < len(universe):
-                new_job = universe[hi]
-                share = leftover
-                if R[new_job] < share:
-                    share = R[new_job]
-                if S[new_job] < share:
-                    share = S[new_job]
-                if share > 0:
-                    shares[new_job] = share
-                    result.extra_started = new_job
-                    used += share
-                    leftover -= share
-        result.waste = leftover
-        result.used = used
-    return result
-
-
-# ---------------------------------------------------------------------------
 # Online layer — arrival-aware window and list-scheduling policies
 # ---------------------------------------------------------------------------
 
@@ -819,23 +661,14 @@ class OnlineWindowPolicy:
                 used=state.zero,
                 assign_processors=False,
             )
-        window = compute_window(
-            state, self.window, self.size, self.budget, universe
+        decision, self.window = window_step(
+            state, self.window, universe, self.size, self.budget
         )
-        assignment = compute_assignment(
-            state, window, self.budget, universe
-        )
-        decision = StepDecision(
-            shares=assignment.shares,
-            case=assignment.case,
-            window=list(window),
-            waste=assignment.waste,
-            used=assignment.used,
-            assign_processors=False,
-        )
-        if assignment.extra_started is not None:
-            window = sorted(set(window) | {assignment.extra_started})
-        self.window = window
+        # the online layer manages no processors and records utilization;
+        # the Theorem 3.3 step flags are an offline accounting
+        decision.used = self.budget - decision.waste
+        decision.assign_processors = False
+        decision.full_jobs_step = decision.full_resource_step = False
         return decision
 
 

@@ -299,21 +299,3 @@ class EngineState:
         if self.utilization is not None:
             self.utilization.append(decision.used)
         return finished
-
-    # ------------------------------------------------------------------
-    # Window-relative job sets (Section 3 notation)
-    # ------------------------------------------------------------------
-
-    def left_of(self, window: Optional[List]) -> List:
-        """``L_t(U)``: unfinished jobs with key < min(U); all if U empty."""
-        if not window:
-            return []
-        lo = min(window)
-        return [j for j in self._unfinished if j < lo]
-
-    def right_of(self, window: Optional[List]) -> List:
-        """``R_t(U)``: unfinished jobs with key > max(U); all if U empty."""
-        if not window:
-            return list(self._unfinished)
-        hi = max(window)
-        return [j for j in self._unfinished if j > hi]

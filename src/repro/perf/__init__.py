@@ -9,9 +9,8 @@ moved the scaled-integer arithmetic itself into
 arithmetic, results *bit-for-bit identical* to the Fraction path).  This
 package keeps the perf-facing entry points and harnesses:
 
-* :mod:`repro.perf.intkernel` — compatibility shim for the original
-  kernel's names; :func:`solve_srj` selects a backend
-  (``"auto" | "fraction" | "int"``).
+* :func:`solve_srj` — re-exported from :mod:`repro.engine.api`; selects
+  a backend (``"auto" | "fraction" | "int"``).
 * :mod:`repro.perf.unitint` — scaled-integer entry points for the
   unit-size algorithm and the Corollary-3.9 bin-packing pipeline
   (:func:`int_unit_makespan`, :func:`int_pack_bins`).
@@ -30,17 +29,11 @@ package keeps the perf-facing entry points and harnesses:
 See ``docs/PERFORMANCE.md`` for the exactness argument and usage.
 """
 
-from .intkernel import (
-    IntSlidingWindowScheduler,
-    common_denominator,
-    solve_srj,
-)
+from ..engine.api import solve_srj
 from .parallel import WorkerPool, auto_workers, parallel_map, seed_for
 from .unitint import int_pack_bins, int_unit_makespan
 
 __all__ = [
-    "IntSlidingWindowScheduler",
-    "common_denominator",
     "solve_srj",
     "int_unit_makespan",
     "int_pack_bins",

@@ -47,7 +47,7 @@ from fractions import Fraction
 from typing import Dict, List, Optional, Tuple
 
 from ..sweep import SweepSpec, run_sweep, scale_grid
-from .intkernel import solve_srj
+from ..engine.api import solve_srj
 from .parallel import BACKOFF_BASE, seed_for
 
 __all__ = ["run_bench", "bench_spec", "peak_rss_kb", "write_report"]

@@ -1,10 +1,10 @@
 """Policy adapters: the paper's algorithm and baselines as engine policies.
 
-:class:`SlidingWindowPolicy` re-derives the Listing-1 decision each step
-from the live state — it is the step-exact algorithm factored as an online
-policy, and the test suite asserts that running it through the
-:class:`~repro.simulator.engine.SimulationEngine` reproduces the optimized
-scheduler's makespan exactly.
+:class:`SlidingWindowPolicy` runs the engine's Listing-1 routine
+(:func:`repro.engine.policies.window_step`) each step on the live state,
+without the bulk horizon; the test suite asserts that running it through
+the :class:`~repro.simulator.engine.SimulationEngine` reproduces the
+step-exact ``solve_srj`` schedule share for share.
 
 All policies here are *machine-condition aware*: they read the live
 per-step budget from ``state.capacity`` (set by the engine when a fault
@@ -21,9 +21,8 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Dict, List, Optional
 
-from ..core.assignment import compute_assignment
 from ..core.state import SchedulerState
-from ..core.window import compute_window
+from ..engine.policies import window_step
 
 
 def _machine(state: SchedulerState):
@@ -48,15 +47,10 @@ class SlidingWindowPolicy:
             if self._window_size is not None
             else max(state.instance.m - 1, 1)
         )
-        self._window = compute_window(state, self._window, size, budget)
-        assignment = compute_assignment(
-            state, self._window, budget, allow_extra_start=True
+        decision, self._window = window_step(
+            state, self._window, state.unfinished(), size, budget
         )
-        if assignment.extra_started is not None:
-            self._window = sorted(
-                set(self._window) | {assignment.extra_started}
-            )
-        return dict(assignment.shares)
+        return decision.shares
 
 
 class ListSchedulingPolicy:

@@ -93,3 +93,26 @@ class TestCombined:
         lb = makespan_lower_bound(inst)
         assert lb >= 1  # nonempty instances need at least one step
         assert lb >= resource_lower_bound(inst) or lb >= processor_lower_bound(inst)
+
+
+class TestIntegerForms:
+    """The processor and longest-job terms are computed from ``p_j`` in
+    integers (``s_j / r_j = p_j``); they equal their Fraction definitions."""
+
+    @given(inst=srj_instances(min_m=1, max_m=9, min_n=0, max_n=14))
+    @settings(max_examples=400, deadline=None)
+    def test_match_fraction_definitions(self, inst):
+        from repro.numeric import ceil_div
+
+        parts = [
+            ceil_div(job.total_requirement, job.requirement)
+            for job in inst.jobs
+        ]
+        assert inst.total_steps_lower() == sum(parts)
+        assert processor_lower_bound(inst) == ceil_div(
+            Fraction(sum(parts)), Fraction(inst.m)
+        )
+        for job in inst.jobs:
+            assert job.min_steps == ceil_div(
+                job.total_requirement, min(job.requirement, Fraction(1))
+            )

@@ -2,29 +2,35 @@
 
 Each claim from the analysis of Section 3 gets its own property test that
 replays the exact inductive situation the claim covers (with the
-GrowWindowLeft repair documented in DESIGN.md §2).
+GrowWindowLeft repair documented in DESIGN.md §2), on the windows of the
+engine routine :func:`repro.engine.policies.window_step` that every
+Listing-1 path runs.
 """
 
 from fractions import Fraction
 
 from hypothesis import given, settings
 
-from repro.core.assignment import compute_assignment
 from repro.core.instance import Instance
 from repro.core.state import SchedulerState
-from repro.core.window import (
-    compute_window,
-    grow_window_left,
-    grow_window_right,
+from repro.core.validate import (
     is_k_maximal,
-    move_window_right,
     window_requirement_without_max,
     window_violations,
 )
+from repro.engine.api import solve_srj
+from repro.engine.policies import window_step
 
 from conftest import srj_instances
 
 ONE = Fraction(1)
+
+
+def _step(state, window, size, enable_move=True):
+    """One Listing-1 decision: ``(decision, next_window)``."""
+    return window_step(
+        state, window, state.unfinished(), size, ONE, enable_move
+    )
 
 
 def _run_to_step(inst, steps):
@@ -35,11 +41,8 @@ def _run_to_step(inst, steps):
     for _ in range(steps):
         if state.n_unfinished() == 0:
             break
-        window = compute_window(state, window, size, ONE)
-        a = compute_assignment(state, window, ONE)
-        state.apply_step(a.shares)
-        if a.extra_started is not None:
-            window = sorted(set(window) | {a.extra_started})
+        decision, window = _step(state, window, size)
+        state.apply_step(decision.shares)
     return state, window
 
 
@@ -47,7 +50,8 @@ def _run_to_step(inst, steps):
 @settings(max_examples=50, deadline=None)
 def test_claim_34_properties_a_to_d_preserved(inst):
     """Claim 3.4: if (a)-(d) hold before the auxiliary procedures, they
-    hold after each of them."""
+    hold after them — checked on the routine's window with the slide off
+    (after both Grow procedures) and on (after MoveWindowRight)."""
     size = inst.m - 1
     state, window = _run_to_step(inst, 3)
     if state.n_unfinished() == 0:
@@ -61,12 +65,10 @@ def test_claim_34_properties_a_to_d_preserved(inst):
         return not ({"a", "b", "c", "d"} & set(v))
 
     assert no_abcd_violation(w)
-    w = grow_window_left(state, universe, w, size, ONE)
-    assert no_abcd_violation(w), "after GrowWindowLeft"
-    w = grow_window_right(state, universe, w, size, ONE)
-    assert no_abcd_violation(w), "after GrowWindowRight"
-    w = move_window_right(state, universe, w, ONE)
-    assert no_abcd_violation(w), "after MoveWindowRight"
+    grown, _ = _step(state, w, size, enable_move=False)
+    assert no_abcd_violation(grown.window), "after GrowWindowLeft/Right"
+    moved, _ = _step(state, w, size)
+    assert no_abcd_violation(moved.window), "after MoveWindowRight"
 
 
 @given(inst=srj_instances(min_m=3, max_m=7, max_n=9))
@@ -76,8 +78,8 @@ def test_claim_35_empty_start_gives_maximal_window(inst):
     (m-1)-maximal window."""
     state = SchedulerState(inst)
     size = inst.m - 1
-    w = compute_window(state, [], size, ONE)
-    assert is_k_maximal(state, w, size, ONE)
+    decision, _ = _step(state, [], size)
+    assert is_k_maximal(state, decision.window, size, ONE)
 
 
 @given(inst=srj_instances(min_m=3, max_m=7, max_n=9))
@@ -91,51 +93,50 @@ def test_claim_36_inductive_maximality(inst):
     for _ in range(6):
         if state.n_unfinished() == 0:
             return
-        window = compute_window(state, window, size, ONE)
-        assert is_k_maximal(state, window, size, ONE), window_violations(
-            state, window, size, ONE
-        )
-        a = compute_assignment(state, window, ONE)
-        state.apply_step(a.shares)
-        if a.extra_started is not None:
-            window = sorted(set(window) | {a.extra_started})
+        decision, window = _step(state, window, size)
+        assert is_k_maximal(
+            state, decision.window, size, ONE
+        ), window_violations(state, decision.window, size, ONE)
+        state.apply_step(decision.shares)
 
 
 def test_lemma_37_counterexample_under_printed_pseudocode():
     """The instance from DESIGN.md §2 that breaks the *printed*
-    GrowWindowLeft (gated on r(W) < R): our repaired version must re-admit
-    job 0 after step 1 and keep property (e)."""
+    GrowWindowLeft (gated on r(W) < R): the engine's repaired version must
+    re-admit job 0 after step 1 and keep property (e) — checked on the
+    step-2 window that ``solve_srj`` records, on both backends."""
     inst = Instance.from_requirements(
         3, [Fraction(1, 8), Fraction(1, 8), Fraction(1)]
     )
-    state = SchedulerState(inst)
     size = 2
-    w = compute_window(state, [], size, ONE)
-    a = compute_assignment(state, w, ONE)
-    state.apply_step(a.shares)
-    # job 2 (r = 1) is fractured with remaining 1/8; jobs 0/1: one finished
-    w2 = compute_window(state, w, size, ONE)
-    assert is_k_maximal(state, w2, size, ONE), window_violations(
-        state, w2, size, ONE
-    )
-    # the repair admits the small job; the printed code would leave {2}
-    assert len(w2) == 2
+    for backend in ("fraction", "int"):
+        trace = solve_srj(inst, backend=backend, accelerate=False).trace
+        state = SchedulerState(inst)
+        state.apply_step(trace[0].shares)
+        # job 2 (r = 1) is fractured with remaining 1/8; jobs 0/1: one
+        # finished
+        w2 = trace[1].window
+        assert is_k_maximal(state, w2, size, ONE), window_violations(
+            state, w2, size, ONE
+        )
+        # the repair admits the small job; the printed code would leave {2}
+        assert len(w2) == 2
 
 
 @given(inst=srj_instances(min_m=3, max_m=7, max_n=9))
 @settings(max_examples=40, deadline=None)
 def test_grow_left_preserves_property_b_explicitly(inst):
     """The repaired GrowWindowLeft's defining invariant: after any number
-    of adds, r(W \\ {max W}) < R."""
+    of adds, r(W \\ {max W}) < R — on the routine's window with and
+    without the slide (right growth and the slide keep it by Claim 3.4)."""
     state, window = _run_to_step(inst, 2)
     if state.n_unfinished() == 0:
         return
-    universe = state.unfinished()
-    alive = set(universe)
-    w = [j for j in window if j in alive]
-    w = grow_window_left(state, universe, w, inst.m - 1, ONE)
-    if w:
-        assert window_requirement_without_max(state, sorted(w)) < ONE
+    for enable_move in (False, True):
+        decision, _ = _step(state, window, inst.m - 1, enable_move)
+        w = decision.window
+        if w:
+            assert window_requirement_without_max(state, sorted(w)) < ONE
 
 
 @given(inst=srj_instances(min_m=3, max_m=6, max_n=8))
@@ -150,13 +151,11 @@ def test_lemma_38_left_border_absorbing_stepwise(inst):
     for _ in range(30):
         if state.n_unfinished() == 0:
             return
-        window = compute_window(state, window, size, ONE)
+        decision, window = _step(state, window, size)
+        processed = decision.window
         universe = state.unfinished()
-        touches_left = not window or window[0] == universe[0]
+        touches_left = not processed or processed[0] == universe[0]
         if at_left:
             assert touches_left, "left border lost"
         at_left = at_left or touches_left
-        a = compute_assignment(state, window, ONE)
-        state.apply_step(a.shares)
-        if a.extra_started is not None:
-            window = sorted(set(window) | {a.extra_started})
+        state.apply_step(decision.shares)

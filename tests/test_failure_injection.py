@@ -11,9 +11,11 @@ import pytest
 
 from repro.core.instance import Instance
 from repro.core.schedule import Schedule
-from repro.core.scheduler import SlidingWindowScheduler, schedule_srj
+from repro.core.scheduler import schedule_srj
 from repro.core.state import SchedulerState
 from repro.core.validate import validate_schedule
+from repro.engine.api import solve_srj
+from repro.engine.policies import window_step
 from repro.simulator import PolicyViolation, SimulationEngine
 
 
@@ -145,7 +147,7 @@ class TestExtremeValues:
         inst = Instance.from_requirements(
             3, [Fraction(1, 3), Fraction(1, 2)], sizes=[30, 30]
         )
-        res = SlidingWindowScheduler(inst, accelerate=False).run()
+        res = solve_srj(inst, backend="fraction", accelerate=False)
         assert res.makespan >= 30
 
 
@@ -158,10 +160,8 @@ class TestStateGuards:
             st.apply_step({42: Fraction(1, 2)})
 
     def test_assignment_empty_universe(self):
-        from repro.core.assignment import compute_assignment
-
         inst = Instance.from_requirements(2, [Fraction(1, 2)])
         st = SchedulerState(inst)
         st.apply_step({0: Fraction(1, 2)})
-        a = compute_assignment(st, [], Fraction(1))
+        a, _ = window_step(st, [], st.unfinished(), 1, Fraction(1))
         assert a.shares == {}

@@ -7,30 +7,11 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.numeric import (
-    approx_eq,
-    approx_ge,
-    approx_le,
-    as_floats,
-    ceil_div,
-    ceil_frac,
-    clamp,
-    floor_frac,
-    frac_sum,
-    fractional_remainder,
-    is_multiple_of,
-    to_fraction,
-    to_fractions,
-)
+from repro.numeric import ceil_div, ceil_frac, frac_sum, to_fraction
 
 fractions_st = st.builds(
     Fraction,
     st.integers(min_value=-100, max_value=100),
-    st.integers(min_value=1, max_value=50),
-)
-positive_fractions_st = st.builds(
-    Fraction,
-    st.integers(min_value=1, max_value=100),
     st.integers(min_value=1, max_value=50),
 )
 
@@ -68,51 +49,6 @@ class TestToFraction:
         with pytest.raises(TypeError):
             to_fraction("0.5")
 
-    def test_to_fractions_list(self):
-        assert to_fractions([1, 0.5]) == [Fraction(1), Fraction(1, 2)]
-
-
-class TestMultiplePredicates:
-    def test_exact_multiple(self):
-        assert is_multiple_of(Fraction(6, 5), Fraction(2, 5))
-
-    def test_not_multiple(self):
-        assert not is_multiple_of(Fraction(1, 2), Fraction(1, 3))
-
-    def test_zero_is_multiple(self):
-        assert is_multiple_of(Fraction(0), Fraction(1, 3))
-
-    def test_negative_not_multiple(self):
-        assert not is_multiple_of(Fraction(-1), Fraction(1, 2))
-
-    def test_nonpositive_unit_rejected(self):
-        with pytest.raises(ValueError):
-            is_multiple_of(Fraction(1), Fraction(0))
-
-    @given(k=st.integers(min_value=0, max_value=50), r=positive_fractions_st)
-    def test_property_multiples(self, k, r):
-        assert is_multiple_of(k * r, r)
-
-    @given(k=st.integers(min_value=0, max_value=50), r=positive_fractions_st,
-           q=positive_fractions_st)
-    def test_property_remainder_reconstruction(self, k, r, q):
-        # value = k*r + (q mod r); remainder must be q mod r
-        rem = fractional_remainder(q, r)
-        value = k * r + rem
-        assert fractional_remainder(value, r) == rem
-        assert 0 <= rem < r
-
-
-class TestRemainder:
-    def test_zero_for_multiple(self):
-        assert fractional_remainder(Fraction(4, 5), Fraction(2, 5)) == 0
-
-    def test_positive_remainder(self):
-        assert fractional_remainder(Fraction(1, 2), Fraction(1, 3)) == Fraction(1, 6)
-
-    def test_value_smaller_than_unit(self):
-        assert fractional_remainder(Fraction(1, 4), Fraction(1, 2)) == Fraction(1, 4)
-
 
 class TestCeilFloor:
     def test_ceil_div_exact(self):
@@ -130,14 +66,9 @@ class TestCeilFloor:
         assert ceil_frac(Fraction(-7, 3)) == -2
         assert ceil_frac(Fraction(4)) == 4
 
-    def test_floor_frac(self):
-        assert floor_frac(Fraction(7, 3)) == 2
-        assert floor_frac(Fraction(-7, 3)) == -3
-
     @given(x=fractions_st)
     def test_ceil_floor_consistency(self, x):
         assert ceil_frac(x) == math.ceil(x)
-        assert floor_frac(x) == math.floor(x)
 
     def test_ceil_div_zero_unit_rejected(self):
         with pytest.raises(ValueError):
@@ -151,21 +82,3 @@ class TestMisc:
     def test_frac_sum_exact(self):
         xs = [Fraction(1, 3)] * 3
         assert frac_sum(xs) == 1
-
-    def test_clamp(self):
-        assert clamp(Fraction(5), Fraction(0), Fraction(1)) == 1
-        assert clamp(Fraction(-1), Fraction(0), Fraction(1)) == 0
-        assert clamp(Fraction(1, 2), Fraction(0), Fraction(1)) == Fraction(1, 2)
-
-    def test_clamp_empty_interval(self):
-        with pytest.raises(ValueError):
-            clamp(Fraction(0), Fraction(1), Fraction(0))
-
-    def test_approx_helpers(self):
-        assert approx_le(1.0, 1.0 + 1e-12)
-        assert approx_ge(1.0, 1.0 - 1e-12)
-        assert approx_eq(1.0, 1.0 + 1e-12)
-        assert not approx_eq(1.0, 1.1)
-
-    def test_as_floats(self):
-        assert as_floats([Fraction(1, 2), Fraction(3)]) == [0.5, 3.0]

@@ -25,12 +25,12 @@ import pytest
 
 from repro.binpacking import make_items, pack_sliding_window
 from repro.core.instance import Instance
-from repro.core.scheduler import SlidingWindowScheduler, schedule_srj
+from repro.core.scheduler import schedule_srj
 from repro.core.unit import schedule_unit
 from repro.core.validate import validate_result
+from repro.engine.backends.integer import lcm_denominator
 from repro.perf import (
     auto_workers,
-    common_denominator,
     int_pack_bins,
     int_unit_makespan,
     parallel_map,
@@ -71,8 +71,8 @@ class TestAccelerateEquivalence:
 
     def test_equivalence_on_corpus(self):
         for inst in CORPUS:
-            fast = SlidingWindowScheduler(inst, accelerate=True).run()
-            slow = SlidingWindowScheduler(inst, accelerate=False).run()
+            fast = solve_srj(inst, backend="fraction", accelerate=True)
+            slow = solve_srj(inst, backend="fraction", accelerate=False)
             assert fast.makespan == slow.makespan, inst
             assert fast.completion_times == slow.completion_times, inst
             assert _steps(fast) == _steps(slow), inst
@@ -127,7 +127,9 @@ class TestIntBackendExactness:
         inst = Instance.from_requirements(
             3, [Fraction(1, 3), Fraction(2, 7), Fraction(5, 6)]
         )
-        d = common_denominator(inst)
+        d = lcm_denominator(
+            Fraction(1), (job.requirement for job in inst.jobs)
+        )
         assert d % 3 == 0 and d % 7 == 0 and d % 6 == 0
         for job in inst.jobs:
             assert (job.requirement * d).denominator == 1

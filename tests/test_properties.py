@@ -9,13 +9,14 @@ from fractions import Fraction
 
 from hypothesis import given, settings
 
-from repro.core.assignment import compute_assignment
 from repro.core.bounds import makespan_lower_bound
 from repro.core.instance import Instance
-from repro.core.scheduler import SlidingWindowScheduler, schedule_srj
+from repro.core.scheduler import schedule_srj
 from repro.core.state import SchedulerState
 from repro.core.unit import schedule_unit
-from repro.core.window import compute_window, is_k_maximal, window_violations
+from repro.core.validate import is_k_maximal, window_violations
+from repro.engine.api import solve_srj
+from repro.engine.policies import window_step
 
 from conftest import srj_instances
 
@@ -32,14 +33,13 @@ def test_window_maximality_every_step(inst):
     guard = 0
     while state.n_unfinished() > 0 and guard < 3000:
         guard += 1
-        window = compute_window(state, window, size, ONE)
-        assert is_k_maximal(state, window, size, ONE), window_violations(
-            state, window, size, ONE
+        decision, window = window_step(
+            state, window, state.unfinished(), size, ONE
         )
-        a = compute_assignment(state, window, ONE)
-        state.apply_step(a.shares)
-        if a.extra_started is not None:
-            window = sorted(set(window) | {a.extra_started})
+        assert is_k_maximal(
+            state, decision.window, size, ONE
+        ), window_violations(state, decision.window, size, ONE)
+        state.apply_step(decision.shares)
     assert state.n_unfinished() == 0
 
 
@@ -53,11 +53,10 @@ def test_at_most_one_fractured_job_always(inst):
     guard = 0
     while state.n_unfinished() > 0 and guard < 3000:
         guard += 1
-        window = compute_window(state, window, size, ONE)
-        a = compute_assignment(state, window, ONE)
-        state.apply_step(a.shares)
-        if a.extra_started is not None:
-            window = sorted(set(window) | {a.extra_started})
+        decision, window = window_step(
+            state, window, state.unfinished(), size, ONE
+        )
+        state.apply_step(decision.shares)
         assert len(state.fractured_jobs()) <= 1
 
 
@@ -152,7 +151,7 @@ def test_move_disabled_still_correct_but_no_guarantee(inst):
     feasible complete schedule (only the ratio guarantee is lost)."""
     from repro.core.validate import assert_valid
 
-    res = SlidingWindowScheduler(inst, enable_move=False).run()
+    res = solve_srj(inst, backend="fraction", enable_move=False)
     assert_valid(res.schedule(max_steps=100_000))
 
 

@@ -7,12 +7,12 @@ from hypothesis import given, settings
 
 from repro.core.bounds import makespan_lower_bound
 from repro.core.instance import Instance
-from repro.core.scheduler import (
-    SlidingWindowScheduler,
-    _steps_until_status_change,
-    schedule_srj,
-)
+from repro.core.scheduler import schedule_srj
 from repro.core.validate import assert_valid
+from repro.engine.api import solve_srj
+from repro.engine.backends.fraction import (
+    steps_until_status_change as _steps_until_status_change,
+)
 
 from conftest import srj_instances
 
@@ -89,8 +89,8 @@ class TestGuarantees:
     @given(inst=srj_instances(min_m=2, max_m=6, max_n=8))
     @settings(max_examples=60, deadline=None)
     def test_property_accelerated_equals_step_exact(self, inst):
-        fast = SlidingWindowScheduler(inst, accelerate=True).run()
-        slow = SlidingWindowScheduler(inst, accelerate=False).run()
+        fast = solve_srj(inst, backend="fraction", accelerate=True)
+        slow = solve_srj(inst, backend="fraction", accelerate=False)
         assert fast.makespan == slow.makespan
         assert fast.completion_times == slow.completion_times
 
@@ -117,8 +117,8 @@ class TestAcceleration:
             [Fraction(1, 3), Fraction(1, 2), Fraction(2, 3)],
             sizes=[100, 50, 25],
         )
-        fast = SlidingWindowScheduler(inst, accelerate=True).run()
-        slow = SlidingWindowScheduler(inst, accelerate=False).run()
+        fast = solve_srj(inst, backend="fraction", accelerate=True)
+        slow = solve_srj(inst, backend="fraction", accelerate=False)
         assert fast.completion_times == slow.completion_times
 
     def test_status_change_horizon_full_share(self):

@@ -10,6 +10,7 @@ from repro.core.instance import Instance
 from repro.core.scheduler import schedule_srj
 from repro.core.state import SchedulerState
 from repro.core.validate import assert_valid
+from repro.engine.api import solve_srj
 from repro.simulator import (
     GreedyFillPolicy,
     ListSchedulingPolicy,
@@ -22,6 +23,19 @@ from repro.simulator import (
 )
 
 from conftest import srj_instances
+
+
+def share_vectors(schedule):
+    """Per-step ``{job: share}`` vectors of a schedule."""
+    return [
+        {p.job_id: p.share for p in step.pieces} for step in schedule.steps
+    ]
+
+
+def step_exact_shares(inst):
+    """The step-exact ``solve_srj`` schedule's per-step share vectors."""
+    res = solve_srj(inst, backend="fraction", accelerate=False)
+    return share_vectors(res.schedule())
 
 
 @pytest.fixture
@@ -43,7 +57,9 @@ class TestEngine:
         res = SimulationEngine(inst, SlidingWindowPolicy()).run()
         opt = schedule_srj(inst)
         assert res.makespan == opt.makespan
+        assert share_vectors(res.schedule) == step_exact_shares(inst)
         assert res.completion_times == opt.completion_times
+        assert share_vectors(res.schedule) == step_exact_shares(inst)
 
     @given(inst=srj_instances(min_m=2, max_m=6, max_n=8))
     @settings(max_examples=40, deadline=None)
@@ -51,6 +67,7 @@ class TestEngine:
         res = SimulationEngine(inst, SlidingWindowPolicy()).run()
         opt = schedule_srj(inst)
         assert res.makespan == opt.makespan
+        assert share_vectors(res.schedule) == step_exact_shares(inst)
 
     def test_overuse_rejected(self, inst):
         class BadPolicy:

@@ -6,6 +6,7 @@ import pytest
 
 from repro.core.instance import Instance
 from repro.core.state import SchedulerState
+from repro.core.validate import left_neighbors, right_neighbors
 
 
 @pytest.fixture
@@ -93,18 +94,28 @@ class TestTransitions:
             st.processor_for(1)
 
 
+def left_of(state, window):
+    """``L_t(W)`` over the state's unfinished jobs."""
+    return left_neighbors(state.unfinished(), window)
+
+
+def right_of(state, window):
+    """``R_t(W)`` over the state's unfinished jobs."""
+    return right_neighbors(state.unfinished(), window)
+
+
 class TestWindowSets:
     def test_left_right_of(self, state):
-        assert state.left_of([1]) == [0]
-        assert state.right_of([1]) == [2]
-        assert state.left_of([0, 1]) == []
-        assert state.right_of([2]) == []
+        assert left_of(state, [1]) == [0]
+        assert right_of(state, [1]) == [2]
+        assert left_of(state, [0, 1]) == []
+        assert right_of(state, [2]) == []
 
     def test_empty_window_conventions(self, state):
-        assert state.left_of([]) == []
-        assert state.right_of([]) == [0, 1, 2]
+        assert left_of(state, []) == []
+        assert right_of(state, []) == [0, 1, 2]
 
     def test_sets_respect_finished(self, state):
         state.apply_step({1: Fraction(1, 2)})
-        assert state.left_of([2]) == [0]
-        assert state.right_of([0]) == [2]
+        assert left_of(state, [2]) == [0]
+        assert right_of(state, [0]) == [2]
