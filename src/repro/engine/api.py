@@ -360,8 +360,17 @@ def unit_makespan(
 
     Jobs are re-indexed by their rank in the sorted ``(value, input
     position)`` order, matching the canonical-id tie-breaking of
-    :func:`run_unit`; inputs are already-validated positive rationals.
+    :func:`run_unit`.  *requirements* and *budget* are positive rationals;
+    no requirements take 0 steps.
     """
+    if m < 1:
+        raise ValueError("m must be >= 1")
+    if budget <= 0:
+        raise ValueError("budget must be positive")
+    if any(r <= 0 for r in requirements):
+        raise ValueError("requirements must be positive")
+    if not requirements:
+        return 0
     ctx = make_context(backend, budget, requirements)
     ranked = sorted(
         (ctx.scale(r), i) for i, r in enumerate(requirements)
@@ -427,13 +436,14 @@ def run_sequential_tasks(
         state = EngineState(m, ctx, req, req, record_trace=record_steps)
     if obs is not None:
         obs.on_run_start(_run_meta("sequential-tasks", ctx, m, len(req)))
-    orders = [
+    # each task's virtual order, sorted when the policy first reaches it
+    orders = (
         sorted(
-            (req[(task.id, i)], i)
+            (req[(task.id, i)], (task.id, i))
             for i in range(len(task.requirements))
         )
         for task in tasks
-    ]
+    )
     policy = SequentialTaskPolicy(
         budget=ctx.scale(budget),
         m=m,

@@ -11,9 +11,11 @@ closed-operation contract; this module is covered by the
 * :class:`SlidingWindowPolicy` — general SRJ (:func:`~repro.engine.api
   .solve_srj`): :func:`window_step` plus the Theorem 3.3 bulk horizon;
 * :class:`UnitWindowPolicy` — the unit-size m-maximal-window variant
-  (``core/unit.py``, the bin-packing pipeline);
+  (``core/unit.py``, the bin-packing pipeline); its window step takes the
+  size and budget per call;
 * :class:`SequentialTaskPolicy` — the Listing-3/4 SRT engine
-  (``tasks/sequential.py``);
+  (``tasks/sequential.py``): one :class:`UnitWindowPolicy` step per task
+  with the leftover processors and resource;
 * :class:`OnlineWindowPolicy` / :class:`OnlineListPolicy` — the
   arrival-aware schedulers (``online/scheduler.py``); the window policy
   runs :func:`window_step` over the released jobs;
@@ -29,7 +31,7 @@ cross-backend suites (``tests/test_perf_backends.py``,
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right, insort
+from bisect import bisect_left, bisect_right
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .loop import StepDecision
@@ -321,35 +323,73 @@ class UnitWindowPolicy:
     sorted ``order`` (static ranks ``1..n``) minus the finished jobs, with
     ``ι`` held apart and placed by bisect.  The alive ranks form a doubly
     linked list (``nxt``/``prv``; sentinels ``0`` and ``n + 1``) for the
-    O(m) walks around ``ι``, and a union–find successor map (``up``)
+    O(size) walks around ``ι``, and a union–find successor map (``up``)
     finds the first alive rank at or after any static rank.
 
     Without ``ι`` the window starts at the leftmost job and slides right
-    until its ``m`` values reach the budget.  The values rise along the
-    order, so an m-window falls short while all its values are below
-    ``budget/m`` and reaches the budget once none is: the slide jumps to
-    the m-window ending just before the first job of value ``≥ budget/m``
-    (found by bisect) and walks at most ``m`` more jobs — O(m + log n)
-    per step instead of a walk as long as the slide.
+    until its ``size`` values reach the budget.  The values rise along the
+    order, so a size-window falls short while all its values are below
+    ``budget/size`` and reaches the budget once none is: the slide jumps
+    to the size-window ending just before the first job of value
+    ``≥ budget/size`` (found by bisect) and walks at most ``size`` more
+    jobs — O(size + log n) per step instead of a walk as long as the slide.
+
+    :meth:`step` runs one window with the processors and resource it is
+    given: :meth:`decide` passes ``m`` and the whole budget (Corollary
+    3.9), :class:`SequentialTaskPolicy` one task's leftover of both
+    (Listings 3/4).
     """
 
     def __init__(self, budget, order: Sequence) -> None:
         self.budget = budget
-        self.order: List = list(order)
-        n = self.n = len(self.order)
-        zero = budget - budget
-        self.vals: List = [zero] + [v for v, _ in self.order] + [zero]
-        self.keys: List = [None] + [k for _, k in self.order] + [None]
-        self.nxt: List[int] = list(range(1, n + 2)) + [n + 1]
-        self.prv: List[int] = [0] + list(range(n + 1))
+        self.order = order
+        n = self.n = len(order)
+        zero = self.zero = budget - budget
+        values, keys = zip(*order) if order else ((), ())
+        self.vals: List = [zero, *values, zero]
+        self.keys: List = [None, *keys, None]
+        self.nxt: List[int] = [*range(1, n + 2), n + 1]
+        self.prv: List[int] = [0, *range(n + 1)]
         self.up: List[int] = list(range(n + 2))
         #: ``(value, key, rank)`` of ι — it sits just before static
         #: ``rank`` in the virtual order — or None
         self.iota = None
 
+    @property
+    def done(self) -> bool:
+        """Every job finished."""
+        return self.iota is None and self.nxt[0] > self.n
+
     def decide(self, state: EngineState) -> StepDecision:
-        m = state.m
         budget = self.budget
+        shares: Dict = {}
+        used = self.step(state.m, budget, shares)
+        count = 1
+        iota = self.iota
+        if iota is not None and used == budget and len(shares) == 1:
+            # a lone oversized job absorbing the full budget: repeat the
+            # step while a whole budget of it remains
+            count += iota[0] // budget
+            if count > 1:
+                self._place_iota(iota[0] % budget, iota[1])
+        n_full = len(shares) - (1 if self.iota is not None else 0)
+        return StepDecision(
+            shares=shares,
+            count=count,
+            case="unit",
+            window=list(shares),
+            full_jobs_step=n_full >= state.m - 1,
+            full_resource_step=used >= budget,
+        )
+
+    def step(self, size: int, budget, shares: Dict):
+        """One window of at most *size* jobs under *budget*.
+
+        Every window job but ``max W`` gets its whole value and ``max W``
+        the rest of the budget, capped at its value.  Writes the shares
+        into *shares* in virtual order, unlinks the jobs that finish and
+        re-places ``ι``; returns the resource used.
+        """
         vals = self.vals
         nxt = self.nxt
         prv = self.prv
@@ -361,19 +401,19 @@ class UnitWindowPolicy:
             r_w = iota[0]
             right = self._first_alive(iota[2])
             left = prv[right]
-            size = 1
+            n_w = 1
             # grow left
-            while size < m and left and r_w < budget:
+            while n_w < size and left and r_w < budget:
                 lefts.append(left)
                 r_w += vals[left]
                 left = prv[left]
-                size += 1
+                n_w += 1
             # grow right
-            while r_w < budget and right != tail and size < m:
+            while r_w < budget and right != tail and n_w < size:
                 rights.append(right)
                 r_w += vals[right]
                 right = nxt[right]
-                size += 1
+                n_w += 1
             # move right while resource-deficient and min W is not ι
             while r_w < budget and right != tail and lefts:
                 r_w -= vals[lefts.pop()]
@@ -381,27 +421,27 @@ class UnitWindowPolicy:
                 r_w += vals[right]
                 right = nxt[right]
         else:
-            r_w = state.zero
+            r_w = self.zero
             right = nxt[0]
-            while r_w < budget and right != tail and len(rights) < m:
+            while r_w < budget and right != tail and len(rights) < size:
                 rights.append(right)
                 r_w += vals[right]
                 right = nxt[right]
             if r_w < budget and right != tail:
-                # every m-window ending before the first job of value
-                # ≥ budget/m falls short: jump to the last of them
-                stop = self._first_alive(self._threshold_rank(m))
+                # every size-window ending before the first job of value
+                # ≥ budget/size falls short: jump to the last of them
+                stop = self._first_alive(self._threshold_rank(size, budget))
                 end = prv[stop]
                 if end > rights[-1]:
                     rights = []
-                    r_w = state.zero
-                    for _ in range(m):
+                    r_w = self.zero
+                    for _ in range(size):
                         rights.append(end)
                         r_w += vals[end]
                         end = prv[end]
                     rights.reverse()
                     right = stop
-                # move right while resource-deficient (≤ m jobs now)
+                # move right while resource-deficient (≤ size jobs now)
                 first = 0
                 while r_w < budget and right != tail:
                     r_w -= vals[rights[first]]
@@ -410,52 +450,46 @@ class UnitWindowPolicy:
                     r_w += vals[right]
                     right = nxt[right]
                 del rights[:first]
-        keys = self.keys
-        window = [(vals[r], keys[r]) for r in reversed(lefts)]
-        if iota is not None:
-            window.append(iota[:2])
-        window.extend((vals[r], keys[r]) for r in rights)
 
-        # assignment: all but the last window job get their full value
-        shares: Dict = {}
-        used = state.zero
-        for value, key in window[:-1]:
-            shares[key] = value
-            used += value
-        last_value, last_key = window[-1]
-        last_share = min(budget - used, last_value)
+        # assignment: every job gets its whole value, then max W is cut
+        # back to what the others leave of the budget
+        keys = self.keys
+        for r in reversed(lefts):
+            shares[keys[r]] = vals[r]
+        if iota is not None:
+            shares[iota[1]] = iota[0]
+        for r in rights:
+            shares[keys[r]] = vals[r]
+        if rights:
+            last_key, last_value = keys[rights[-1]], vals[rights[-1]]
+        else:
+            last_key, last_value = iota[1], iota[0]
+        last_share = budget - (r_w - last_value)
         if last_share <= 0:
             raise RuntimeError("window assignment bug: max W gets nothing")
-        shares[last_key] = last_share
-        # bulk: a lone oversized job absorbing the full budget each step
-        count = 1
-        if len(window) == 1 and last_share == budget:
-            count = last_value // budget
-            if count < 1:
-                count = 1
-            shares[last_key] = budget
-        # every job except possibly the last finishes this step
-        rem = last_value - count * shares[last_key]
+        if last_share < last_value:
+            shares[last_key] = last_share
+            used = budget
+        else:
+            last_share = last_value
+            used = r_w
+        # every job except possibly max W finishes this step
         up = self.up
         for r in lefts + rights:
             before, after = prv[r], nxt[r]
             nxt[before] = after
             prv[after] = before
             up[r] = r + 1
-        if rem <= 0:
-            self.iota = None
+        self._place_iota(last_value - last_share, last_key)
+        return used
+
+    def _place_iota(self, rem, key) -> None:
+        """Make *key*, with *rem* left, the started job ι (none if
+        ``rem`` is 0)."""
+        if rem > 0:
+            self.iota = (rem, key, bisect_left(self.order, (rem, key)) + 1)
         else:
-            rank = bisect_left(self.order, (rem, last_key)) + 1
-            self.iota = (rem, last_key, rank)
-        n_full = len(window) - (1 if rem > 0 else 0)
-        return StepDecision(
-            shares=shares,
-            count=count,
-            case="unit",
-            window=[key for _, key in window],
-            full_jobs_step=n_full >= m - 1,
-            full_resource_step=used + shares[last_key] >= budget,
-        )
+            self.iota = None
 
     def _first_alive(self, rank: int) -> int:
         """The first alive rank at or after *rank* (``n + 1`` if none),
@@ -468,15 +502,14 @@ class UnitWindowPolicy:
             up[rank], rank = root, up[rank]
         return root
 
-    def _threshold_rank(self, m: int) -> int:
-        """The first static rank of value ``≥ budget/m`` (``n + 1`` if
-        none), by bisection on ``m·value`` (no division)."""
+    def _threshold_rank(self, size: int, budget) -> int:
+        """The first static rank of value ``≥ budget/size`` (``n + 1`` if
+        none), by bisection on ``size·value`` (no division)."""
         vals = self.vals
-        budget = self.budget
         lo, hi = 1, self.n + 1
         while lo < hi:
             mid = (lo + hi) // 2
-            if vals[mid] * m < budget:
+            if vals[mid] * size < budget:
                 lo = mid + 1
             else:
                 hi = mid
@@ -484,151 +517,66 @@ class UnitWindowPolicy:
 
 
 # ---------------------------------------------------------------------------
-# Sequential SRT engine — Listings 3 and 4 (task packing + unit window)
+# Sequential SRT engine — Listings 3 and 4 (the unit window per task)
 # ---------------------------------------------------------------------------
 
 
 class SequentialTaskPolicy:
-    """Per step: pack whole tasks while they fit (phase A), then run the
-    unit-size sliding window over the current task's remaining jobs with
-    the leftover processors/resource (phase B).
+    """Listings 3/4: per step, the tasks in schedule order each run one
+    :class:`UnitWindowPolicy` step with the processors and resource the
+    tasks before them left over.
 
-    Job keys are ``(task_id, job_index)``; ``orders`` holds one sorted
-    ``(current value, job_index)`` list per task, in schedule order.
-    Task completion times accumulate in ``self.completion``."""
+    A task that finishes in that step is *packed* (the listings' line-3
+    transition: its remaining requirement and job count fit the leftover,
+    so its window is all its remaining jobs) and the next task follows;
+    any other task's window ends the step.  Job keys are ``(task_id,
+    job_index)``; *orders* yields one sorted ``(value, key)`` list per
+    task, in schedule order, and a task's window is built from it when
+    the task is first reached.  Task completion times accumulate in
+    ``self.completion``."""
 
     def __init__(self, budget, m: int, task_ids: Sequence, orders) -> None:
         self.budget = budget
         self.m = m
-        self.task_ids = list(task_ids)
-        self.orders: List[List] = [list(o) for o in orders]
-        self.iotas: List[Optional[int]] = [None] * len(self.orders)
-        self.cur = 0
+        self.pending = zip(task_ids, orders)
+        #: id and window of the first unfinished task (None: not reached)
+        self.tid = None
+        self.window: Optional[UnitWindowPolicy] = None
         self.t = 0
         self.completion: Dict = {}
 
     def decide(self, state: EngineState) -> StepDecision:
         self.t += 1
-        t = self.t
+        m = self.m
         avail = self.budget
-        procs = self.m
         shares: Dict = {}
         packed: List = []
-        cur = self.cur
-        orders = self.orders
-        task_ids = self.task_ids
-        # ---- phase A: pack whole tasks ----------------------------------
-        while cur < len(orders):
-            order = orders[cur]
-            need = state.zero
-            for v, _ in order:
-                need += v
-            count = len(order)
-            if need <= avail and count <= procs:
-                tid = task_ids[cur]
-                for value, idx in order:
-                    shares[(tid, idx)] = value
-                avail -= need
-                procs -= count
-                self.completion[tid] = t
-                packed.append(tid)
-                orders[cur] = []
-                self.iotas[cur] = None
-                cur += 1
-            else:
+        window = self.window
+        while len(shares) < m and avail > 0:
+            if window is None:
+                task = next(self.pending, None)
+                if task is None:
+                    break
+                self.tid, order = task
+                window = self.window = UnitWindowPolicy(self.budget, order)
+            avail -= window.step(m - len(shares), avail, shares)
+            if not window.done:
                 break
-        # ---- phase B: sliding window on the current task ----------------
-        if cur < len(orders) and procs >= 1 and avail > 0:
-            order = orders[cur]
-            iota = self.iotas[cur]
-            tid = task_ids[cur]
-            window, lo = _task_unit_window(order, iota, procs, avail, state)
-            if window:
-                others = state.zero
-                for value, idx in window[:-1]:
-                    shares[(tid, idx)] = value
-                    others += value
-                last_value, last_idx = window[-1]
-                last_share = min(avail - others, last_value)
-                if last_share > 0:
-                    shares[(tid, last_idx)] = last_share
-                    new_rem = last_value - last_share
-                else:
-                    # degenerate tie: max W gets nothing; it must be
-                    # unstarted (the started job is never starved)
-                    if iota == last_idx:
-                        raise RuntimeError(
-                            "started job starved — engine invariant broken"
-                        )
-                    new_rem = last_value
-                    window = window[:-1]
-                # remove window jobs from the order, re-insert ι
-                served = {idx for _, idx in window}
-                order = [(v, i) for v, i in order if i not in served]
-                if new_rem > 0 and last_share > 0:
-                    self.iotas[cur] = last_idx
-                    insort(order, (new_rem, last_idx))
-                else:
-                    if self.iotas[cur] in served:
-                        self.iotas[cur] = None
-                orders[cur] = order
-                if not order:
-                    self.completion[tid] = t
-                    self.iotas[cur] = None
-                    cur += 1
-        self.cur = cur
+            self.completion[self.tid] = self.t
+            packed.append(self.tid)
+            window = self.window = None
         if not shares:
             raise RuntimeError(
                 "engine made no progress with unfinished tasks remaining"
             )
-        used = state.zero
-        for v in shares.values():
-            used += v
         return StepDecision(
             shares=shares,
             count=1,
             case="seq",
             window=packed,
-            used=used,
+            used=self.budget - avail,
             assign_processors=False,
         )
-
-
-def _task_unit_window(order, iota, size, budget, state):
-    """m-maximal window over one task's virtual order: seed at ι (or the
-    left border), grow left, grow right, move right while the leftmost
-    entry is unstarted.  Returns the window slice and its start index."""
-    if not order:
-        return [], 0
-    if iota is None:
-        lo = hi = 0
-        r_w = state.zero
-    else:
-        pos = None
-        for p, (_, idx) in enumerate(order):
-            if idx == iota:
-                pos = p
-                break
-        if pos is None:
-            raise RuntimeError("started job lost from task order")
-        lo, hi = pos, pos + 1
-        r_w = order[pos][0]
-    while hi - lo < size and lo > 0 and r_w < budget:
-        lo -= 1
-        r_w += order[lo][0]
-    while r_w < budget and hi < len(order) and hi - lo < size:
-        r_w += order[hi][0]
-        hi += 1
-    while (
-        r_w < budget
-        and hi < len(order)
-        and (iota is None or order[lo][1] != iota)
-    ):
-        r_w -= order[lo][0]
-        lo += 1
-        r_w += order[hi][0]
-        hi += 1
-    return order[lo:hi], lo
 
 
 # ---------------------------------------------------------------------------

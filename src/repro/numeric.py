@@ -48,8 +48,23 @@ def to_fraction(x: Number) -> Fraction:
 
 
 def frac_sum(xs: Iterable[Fraction]) -> Fraction:
-    """Exact sum of Fractions (``sum`` with a Fraction start value)."""
-    return sum(xs, Fraction(0))
+    """Exact sum of rationals (Fractions or ints), as a Fraction.
+
+    Equal to ``sum(xs, Fraction(0))``, which normalizes (one gcd) after
+    every addition: this adds plain-int numerators scaled to the LCM of
+    the denominators seen so far (rescaling the running total when a new
+    denominator extends it) and builds one Fraction at the end.
+    """
+    total = 0
+    lcm = 1
+    for x in xs:
+        num, den = x.as_integer_ratio()
+        if lcm % den:
+            grown = lcm // math.gcd(lcm, den) * den
+            total *= grown // lcm
+            lcm = grown
+        total += num * (lcm // den)
+    return Fraction(total, lcm)
 
 
 def ceil_div(value: Fraction, unit: Fraction) -> int:

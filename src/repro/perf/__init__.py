@@ -11,9 +11,6 @@ package keeps the perf-facing entry points and harnesses:
 
 * :func:`solve_srj` — re-exported from :mod:`repro.engine.api`; selects
   a backend (``"auto" | "fraction" | "int"``).
-* :mod:`repro.perf.unitint` — scaled-integer entry points for the
-  unit-size algorithm and the Corollary-3.9 bin-packing pipeline
-  (:func:`int_unit_makespan`, :func:`int_pack_bins`).
 * :mod:`repro.perf.parallel` — :class:`WorkerPool`, the one supervised
   process pool (forked workers behind per-worker pipes; a dead or hung
   worker is replaced, not the pool), shared by the ``serve`` daemon for
@@ -31,12 +28,9 @@ See ``docs/PERFORMANCE.md`` for the exactness argument and usage.
 
 from ..engine.api import solve_srj
 from .parallel import WorkerPool, auto_workers, parallel_map, seed_for
-from .unitint import int_pack_bins, int_unit_makespan
 
 __all__ = [
     "solve_srj",
-    "int_unit_makespan",
-    "int_pack_bins",
     "parallel_map",
     "WorkerPool",
     "seed_for",

@@ -9,6 +9,9 @@ cross-checks that both produce identical completion times, and records
 * per-point wall-clock (median of ``reps``, mean alongside) for both
   backends and the speedup,
 * the power-law exponents of time vs the number of tasks,
+* the integer backend's time on 8 large tasks of 250 … 4000 unit jobs
+  each (m = 8) and its power-law exponent vs the jobs per task
+  (``power_law_exponent_tasks``),
 * peak RSS of the process,
 
 into a JSON file so subsequent PRs have a perf trajectory to diff against.
@@ -65,12 +68,38 @@ def _time_backend(ti, backend: str, reps: int) -> tuple:
     return times, result
 
 
+def _tasks_point(params: Dict) -> Dict[str, object]:
+    """Time the int backend on ``k`` tasks of ``n`` unit jobs each
+    (requirements ``i/240``)."""
+    import random
+    from fractions import Fraction
+
+    from ..tasks import TaskInstance
+
+    m, k, n, reps = params["m"], params["k"], params["n"], params["reps"]
+    rng = random.Random(params["seed"])
+    ti = TaskInstance.create(m, [
+        [Fraction(rng.randint(1, 240), 240) for _ in range(n)]
+        for _ in range(k)
+    ])
+    times, result = _time_backend(ti, "int", reps)
+    return {
+        "sweep": "tasks", "m": m, "k": k, "n": n, "n_jobs": ti.n_jobs,
+        "makespan": result.makespan,
+        "sum_completion": result.sum_completion_times(),
+        "int_s": round(statistics.median(times), 6),
+        "int_mean_s": round(sum(times) / len(times), 6),
+    }
+
+
 def _bench_srt_point(params: Dict) -> Dict[str, object]:
     """Solve-and-time one SRT grid point (pure function of *params*)."""
     import random
 
     from ..workloads import make_taskset
 
+    if params["sweep"] == "tasks":
+        return _tasks_point(params)
     m, k, reps = params["m"], params["k"], params["reps"]
     rng = random.Random(params["seed"])
     ti = make_taskset("mixed", rng, m, k)
@@ -97,7 +126,8 @@ def _bench_srt_point(params: Dict) -> Dict[str, object]:
 def bench_srt_spec(
     scale: str = "small", seed: int = 0, reps: Optional[int] = None
 ) -> SweepSpec:
-    """The SRT runtime sweep as a fabric spec (k-sweep then m-sweep)."""
+    """The SRT runtime sweep as a fabric spec (k-sweep, m-sweep, then the
+    large-task series)."""
     p = _sweep_points(scale)
     reps = reps if reps is not None else p["reps"][0]
     m_fixed, k_fixed = p["m_fixed"][0], p["k_fixed"][0]
@@ -111,6 +141,12 @@ def bench_srt_spec(
         params.append({"sweep": "m", "m": m, "k": k_fixed,
                        "seed": seed_for(seed, idx), "reps": reps})
         idx += 1
+    for m in p["task_m"]:
+        for k in p["task_k"]:
+            for n in p["task_ns"]:
+                params.append({"sweep": "tasks", "m": m, "k": k, "n": n,
+                               "seed": seed_for(seed, idx), "reps": reps})
+                idx += 1
     return SweepSpec.from_points(
         "bench-srt", _bench_srt_point, params, version=f"v{SCHEMA}",
         serial=True,
@@ -149,6 +185,8 @@ def run_bench_srt(
         "rows": rows,
     }
     if sweep.complete:
+        both_rows = [r for r in rows if r["sweep"] != "tasks"]
+        task_rows = [r for r in rows if r["sweep"] == "tasks"]
         k_rows = [r for r in rows if r["sweep"] == "k"]
         largest = max(k_rows, key=lambda r: r["k"])
         from ..analysis.stats import fit_power_law
@@ -161,14 +199,19 @@ def run_bench_srt(
             [float(r["k"]) for r in k_rows],
             [max(r["int_s"], 1e-9) for r in k_rows],
         )
+        exp_tasks, _ = fit_power_law(
+            [float(r["n"]) for r in task_rows],
+            [max(r["int_s"], 1e-9) for r in task_rows],
+        )
         report["summary"] = {
             "largest_k": largest["k"],
             "largest_n_jobs": largest["n_jobs"],
             "speedup_at_largest_k": largest["speedup"],
-            "max_speedup": max(r["speedup"] for r in rows),
-            "min_speedup": min(r["speedup"] for r in rows),
+            "max_speedup": max(r["speedup"] for r in both_rows),
+            "min_speedup": min(r["speedup"] for r in both_rows),
             "power_law_exponent_fraction": round(exp_frac, 3),
             "power_law_exponent_int": round(exp_int, 3),
+            "power_law_exponent_tasks": round(exp_tasks, 3),
             "peak_rss_kb": peak_rss_kb(),
         }
     else:
@@ -201,6 +244,7 @@ def main(argv: Optional[List[str]] = None) -> int:
             f"speedup at k={s['largest_k']} ({s['largest_n_jobs']} jobs): "
             f"{s['speedup_at_largest_k']}x "
             f"(max {s['max_speedup']}x, min {s['min_speedup']}x); "
+            f"large-task int exponent {s['power_law_exponent_tasks']}; "
             f"peak RSS {s['peak_rss_kb']} KiB"
         )
     else:

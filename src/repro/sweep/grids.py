@@ -27,12 +27,19 @@ _GRIDS: Dict[str, Dict[str, Dict[str, List]]] = {
                  "unit_ns": [10_000, 20_000, 50_000, 100_000],
                  "unit_families": ["uniform", "bimodal"], "unit_k": [8]},
     },
-    # SRT scheduler (BENCH_2): k-sweep at fixed m + m-sweep at fixed k
+    # SRT scheduler (BENCH_2): k-sweep at fixed m + m-sweep at fixed k,
+    # plus the int series of task_k large tasks of task_ns unit jobs each
+    # (m = task_m), where the per-step window cost, not the task count,
+    # sets the scaling
     "srt": {
         "small": {"ks": [10, 20, 40, 80], "ms": [4, 8, 16],
-                  "k_fixed": [40], "m_fixed": [8], "reps": [2]},
+                  "k_fixed": [40], "m_fixed": [8], "reps": [2],
+                  "task_ns": [250, 500, 1000, 2000, 4000], "task_k": [8],
+                  "task_m": [8]},
         "full": {"ks": [20, 40, 80, 160, 320], "ms": [4, 8, 16, 32],
-                 "k_fixed": [160], "m_fixed": [8], "reps": [3]},
+                 "k_fixed": [160], "m_fixed": [8], "reps": [3],
+                 "task_ns": [250, 500, 1000, 2000, 4000], "task_k": [8],
+                 "task_m": [8]},
     },
     # observer-overhead gate (BENCH_3): (m, n) shapes, interleaved reps;
     # each rep is only a few ms, so the median needs a wide sample to sit

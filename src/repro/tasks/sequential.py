@@ -8,25 +8,28 @@ near-identical); only the task *order* differs:
 * Listing 4 (light tasks, Lemma 4.2): tasks by non-decreasing ``|T|``;
   achieved guarantee ``f_i ≤ ⌈Σ_{l≤i} |T_l| / (m-1)⌉``.
 
-Per time step the engine
+Per time step the engine runs, for the tasks in order, one step of the
+*unit-size sliding window* (Section 3's m-maximal machinery; all jobs are
+unit size, so each task has at most one started job ``ι``) over the task's
+remaining jobs, with the processors and resource the tasks before it left
+over:
 
-1. *packs whole tasks* (the transition of Listing 3/4, Line 3): while the
-   first unfinished task's remaining requirement fits into the leftover
-   resource **and** its remaining job count fits into the leftover
-   processors, all its jobs are finished outright this step;
-2. runs the *unit-size sliding window* (Section 3's m-maximal machinery,
-   since all jobs are unit size, there is at most one started job ``ι`` per
-   task) over the current task's remaining jobs with the leftover
-   processors/resource.
+1. a task whose remaining requirement fits into the leftover resource
+   **and** whose remaining job count fits into the leftover processors has
+   all its jobs in that window and finishes outright — it is *packed* (the
+   transition of Listing 3/4, Line 3) and the next task follows;
+2. any other task's window ends the step.
 
 The paper's printed Listing 3 body is corrupted in the available text; this
 reconstruction is derived from Lemma 4.1/4.2's proofs (see DESIGN.md §2) and
 is validated against those lemmas' completion-time bounds in the test suite.
 
 The step loop lives in :mod:`repro.engine`
-(:class:`~repro.engine.policies.SequentialTaskPolicy`); this module adapts
-task models to it and selects the numeric backend (``backend="int"``/
-``"auto"`` runs the whole engine on LCM-rescaled integers, bit-identical).
+(:class:`~repro.engine.policies.SequentialTaskPolicy`, which runs one
+:class:`~repro.engine.policies.UnitWindowPolicy` per task — the window of
+the unit-size variant and Corollary 3.9); this module adapts task models
+to it and selects the numeric backend (``backend="int"``/``"auto"`` runs
+the whole engine on LCM-rescaled integers, bit-identical).
 """
 
 from __future__ import annotations

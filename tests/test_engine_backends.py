@@ -268,10 +268,14 @@ class TestAssignedBackends:
 
 class TestBenchArtifact:
     def test_repo_bench2_artifact_if_present(self):
-        """When BENCH_2.json exists, it must meet the SRT speedup target."""
+        """When BENCH_2.json exists, it must meet the SRT speedup target
+        and its large-task int series the near-linear scaling target."""
         artifact = REPO_ROOT / "BENCH_2.json"
         if not artifact.exists():
             pytest.skip("BENCH_2.json not generated in this checkout")
         report = json.loads(artifact.read_text())
         assert report["bench"].startswith("SRT runtime")
         assert report["summary"]["speedup_at_largest_k"] >= 5.0
+        tasks = [r for r in report["rows"] if r["sweep"] == "tasks"]
+        assert {r["n"] for r in tasks} >= {250, 4000}
+        assert report["summary"]["power_law_exponent_tasks"] <= 1.3

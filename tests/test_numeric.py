@@ -82,3 +82,26 @@ class TestMisc:
     def test_frac_sum_exact(self):
         xs = [Fraction(1, 3)] * 3
         assert frac_sum(xs) == 1
+
+    @given(
+        st.lists(
+            st.one_of(
+                fractions_st,
+                st.integers(min_value=-10**6, max_value=10**6),
+                # large, mostly coprime denominators: the LCM grows big
+                st.builds(
+                    Fraction,
+                    st.integers(min_value=-10**12, max_value=10**12),
+                    st.sampled_from(
+                        [999_983, 1_000_003, 2**61 - 1, 10**12 + 39,
+                         3**30, 2**40]
+                    ),
+                ),
+            ),
+            max_size=40,
+        )
+    )
+    def test_frac_sum_matches_fraction_sum(self, xs):
+        got = frac_sum(iter(xs))
+        assert got == sum(xs, Fraction(0))
+        assert type(got) is Fraction

@@ -23,20 +23,19 @@ from pathlib import Path
 
 import pytest
 
-from repro.binpacking import make_items, pack_sliding_window
+from repro.binpacking import (
+    cardinality_lower_bound,
+    make_items,
+    pack_sliding_window,
+    volume_lower_bound,
+)
 from repro.core.instance import Instance
 from repro.core.scheduler import schedule_srj
 from repro.core.unit import schedule_unit
 from repro.core.validate import validate_result
+from repro.engine.api import unit_makespan
 from repro.engine.backends.integer import lcm_denominator
-from repro.perf import (
-    auto_workers,
-    int_pack_bins,
-    int_unit_makespan,
-    parallel_map,
-    seed_for,
-    solve_srj,
-)
+from repro.perf import auto_workers, parallel_map, seed_for, solve_srj
 from repro.perf.bench import peak_rss_kb, write_report
 from repro.workloads import FAMILIES, make_instance
 
@@ -167,7 +166,9 @@ class TestUnitIntKernel:
                 Fraction(rng.randint(1, 2 * den), den) for _ in range(n)
             ]
             inst = Instance.from_requirements(m, reqs)
-            assert int_unit_makespan(reqs, m) == schedule_unit(inst).makespan
+            assert unit_makespan(
+                reqs, m, Fraction(1), backend="int"
+            ) == schedule_unit(inst).makespan
 
     def test_pack_matches_sliding_window(self):
         rng = random.Random(5)
@@ -177,10 +178,11 @@ class TestUnitIntKernel:
                 Fraction(rng.randint(1, 60), 50)
                 for _ in range(rng.randint(1, 20))
             ]
-            bins, info = int_pack_bins(sizes, k)
-            assert bins == pack_sliding_window(make_items(sizes), k).num_bins
-            assert bins >= info["volume_lb"]
-            assert bins >= info["cardinality_lb"]
+            items = make_items(sizes)
+            bins = unit_makespan(sizes, k, Fraction(1), backend="int")
+            assert bins == pack_sliding_window(items, k).num_bins
+            assert bins >= volume_lower_bound(items)
+            assert bins >= cardinality_lower_bound(items, k)
 
 
 def _square(x):
@@ -256,7 +258,6 @@ class TestBenchHarness:
         assert json.loads(out.read_text())["summary"] == report["summary"]
 
     def test_tiny_unit_series(self, monkeypatch):
-        from repro.engine.api import unit_makespan
         from repro.perf import bench
         from repro.workloads import bimodal_fractions, uniform_fractions
 
@@ -290,6 +291,38 @@ class TestBenchHarness:
             assert row["int_s"] > 0
         exponents = report["summary"]["power_law_exponent_unit"]
         assert set(exponents) == {"uniform", "bimodal"}
+
+    def test_tiny_task_series(self, monkeypatch):
+        from repro.perf import bench_srt
+        from repro.tasks import TaskInstance, solve_srt
+
+        monkeypatch.setattr(
+            bench_srt,
+            "_sweep_points",
+            lambda scale: {
+                "ks": [4, 6], "ms": [], "k_fixed": [4], "m_fixed": [4],
+                "reps": [1], "task_ns": [30, 60], "task_k": [3],
+                "task_m": [4],
+            },
+        )
+        report = bench_srt.run_bench_srt(scale="small", seed=0)
+        tasks = [r for r in report["rows"] if r["sweep"] == "tasks"]
+        assert [(r["k"], r["n"], r["n_jobs"]) for r in tasks] == [
+            (3, 30, 90), (3, 60, 180),
+        ]
+        spec = bench_srt.bench_srt_spec(scale="small", seed=0)
+        for row, point in zip(tasks, spec.points[2:]):
+            rng = random.Random(point.params["seed"])
+            ti = TaskInstance.create(row["m"], [
+                [Fraction(rng.randint(1, 240), 240) for _ in range(row["n"])]
+                for _ in range(row["k"])
+            ])
+            res = solve_srt(ti, backend="fraction")
+            assert row["makespan"] == res.makespan
+            assert row["sum_completion"] == res.sum_completion_times()
+            assert row["int_s"] > 0
+            assert "speedup" not in row
+        assert "power_law_exponent_tasks" in report["summary"]
 
     def test_repo_bench_artifact_if_present(self):
         """When BENCH_1.json exists, it must meet the speedup target and

@@ -7,12 +7,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.binpacking import (
+    cardinality_lower_bound,
+    make_items,
+    pack_sliding_window,
+    volume_lower_bound,
+)
 from repro.core.bounds import makespan_lower_bound
 from repro.core.instance import Instance
 from repro.core.unit import UnitSizeScheduler, schedule_unit, unit_guarantee
 from repro.core.validate import assert_valid
 from repro.engine.api import unit_makespan
-from repro.perf import int_pack_bins, int_unit_makespan
 from repro.workloads import bimodal_fractions
 
 from conftest import srj_instances
@@ -144,7 +149,7 @@ class TestUnitMakespan:
     """The bare-requirements entry points (Cor. 3.9 bin counts)."""
 
     def test_empty(self):
-        assert int_unit_makespan([], 3) == 0
+        assert unit_makespan([], 3, Fraction(1), backend="int") == 0
         assert unit_makespan([], 3, Fraction(1)) == 0
 
     def test_single(self):
@@ -155,11 +160,11 @@ class TestUnitMakespan:
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            int_unit_makespan([Fraction(1, 2)], 0)
+            unit_makespan([Fraction(1, 2)], 0, Fraction(1), backend="int")
         with pytest.raises(ValueError):
-            int_unit_makespan([Fraction(0)], 2)
+            unit_makespan([Fraction(0)], 2, Fraction(1), backend="int")
         with pytest.raises(ValueError):
-            int_unit_makespan([Fraction(1, 2)], 2, budget=0)
+            unit_makespan([Fraction(1, 2)], 2, 0, backend="int")
 
     def test_perfect_packing(self):
         assert _makespans([Fraction(1, 2)] * 4, 2) == {2}
@@ -241,11 +246,11 @@ class TestBackendAgreement:
 
 class TestPackBins:
     def test_info_bounds(self):
-        bins, info = int_pack_bins([Fraction(3, 5)] * 3, 2)
-        assert bins >= info["volume_lb"] == 2
-        assert info["cardinality_lb"] == 2
+        items = make_items([Fraction(3, 5)] * 3)
+        bins = pack_sliding_window(items, 2, backend="int").num_bins
+        assert bins >= volume_lower_bound(items) == 2
+        assert cardinality_lower_bound(items, 2) == 2
 
     def test_empty(self):
-        bins, info = int_pack_bins([], 4)
-        assert bins == 0
-        assert info["cardinality_lb"] == 0
+        assert pack_sliding_window([], 4, backend="int").num_bins == 0
+        assert cardinality_lower_bound([], 4) == 0

@@ -13,7 +13,10 @@ and check
   search replaced the walk (uniform, bimodal and tiny-heavy inputs ×
   k ∈ {2, 4, 16});
 * every step's window against the m-maximal-window properties, replayed
-  over the virtual ``(remaining value, job id)`` order.
+  over the virtual ``(remaining value, job id)`` order — also when one
+  policy is driven with a different ``(size, budget)`` on every call, as
+  the SRT engine drives it with a task's leftover processors and
+  resource.
 """
 
 from __future__ import annotations
@@ -27,6 +30,7 @@ import pytest
 from repro.core.instance import Instance
 from repro.core.unit import schedule_unit
 from repro.engine.api import unit_makespan
+from repro.engine.policies import UnitWindowPolicy
 from repro.workloads import bimodal_fractions, uniform_fractions
 
 N = 600
@@ -89,53 +93,67 @@ GOLDEN = {
 CASES = sorted(GOLDEN)
 
 
+def step_violations(rem, total, window, shares, size, budget):
+    """Check one step's window against the m-maximal-window properties,
+    with *size* jobs and *budget* resource in place of m and 1.
+
+    *rem*/*total* map every unfinished job to its remaining and initial
+    value before the step.  Returns the problems found and how far an
+    ι-free window slid right of the leftmost job (0 if it did not)."""
+    order = sorted((v, j) for j, v in rem.items())
+    keys = [j for _, j in order]
+    pos = {j: i for i, j in enumerate(keys)}
+    first, last = pos[window[0]], pos[window[-1]]
+    started = [j for j in keys if rem[j] < total[j]]
+    values = [rem[j] for j in window]
+    r_w = sum(values)
+    problems = []
+    slide = 0
+
+    def bad(what):
+        problems.append(f"{what} (window {window})")
+
+    if keys[first:last + 1] != list(window):
+        bad("not contiguous in the virtual order")
+    if len(window) > size:
+        bad(f"|W| = {len(window)} > size = {size}")
+    if sum(values[:-1]) >= budget:
+        bad("the jobs before max W do not fit")
+    for j in window[:-1]:
+        if shares.get(j) != rem[j]:
+            bad(f"job {j} below max W does not finish")
+    if len(started) > 1:
+        bad(f"{len(started)} started jobs")
+    if started and started[0] not in window:
+        bad("started job outside the window")
+    full = len(window) == size or r_w >= budget
+    if first > 0 and not full:
+        bad("left neighbour could join")
+    if last + 1 < len(keys) and r_w < budget:
+        if not (len(window) == size and started and window[0] == started[0]):
+            bad("window stopped short of the budget")
+    if not started and first > 0:
+        # ι-free slide: stops at the first size-window reaching the budget
+        slide = first
+        back = r_w - rem[window[-1]] + rem[keys[first - 1]]
+        if back >= budget:
+            bad("slide passed an earlier window reaching the budget")
+    return problems, slide
+
+
 def window_violations(instance, result):
     """Replay *result* and list every step whose window breaks an
     m-maximal-window property; also return the longest ι-free slide."""
-    m = instance.m
-    budget = Fraction(1)
     rem = {job.id: job.requirement for job in instance.jobs}
     total = dict(rem)
     problems = []
     longest_slide = 0
     for step, run in enumerate(result.trace):
-        order = sorted((v, j) for j, v in rem.items())
-        keys = [j for _, j in order]
-        pos = {j: i for i, j in enumerate(keys)}
-        window = run.window
-        first, last = pos[window[0]], pos[window[-1]]
-        started = [j for j in keys if rem[j] < total[j]]
-        values = [rem[j] for j in window]
-        r_w = sum(values)
-
-        def bad(what):
-            problems.append(f"step {step}: {what} (window {window})")
-
-        if keys[first:last + 1] != list(window):
-            bad("not contiguous in the virtual order")
-        if len(window) > m:
-            bad(f"|W| = {len(window)} > m = {m}")
-        if sum(values[:-1]) >= budget:
-            bad("the jobs before max W do not fit")
-        for j in window[:-1]:
-            if run.shares.get(j) != rem[j]:
-                bad(f"job {j} below max W does not finish")
-        if len(started) > 1:
-            bad(f"{len(started)} started jobs")
-        if started and started[0] not in window:
-            bad("started job outside the window")
-        full = len(window) == m or r_w >= budget
-        if first > 0 and not full:
-            bad("left neighbour could join")
-        if last + 1 < len(keys) and r_w < budget:
-            if not (len(window) == m and started and window[0] == started[0]):
-                bad("window stopped short of the budget")
-        if not started and first > 0:
-            # ι-free slide: stops at the first m-window reaching the budget
-            longest_slide = max(longest_slide, first)
-            back = r_w - rem[window[-1]] + rem[keys[first - 1]]
-            if back >= budget:
-                bad("slide passed an earlier window reaching the budget")
+        found, slide = step_violations(
+            rem, total, run.window, run.shares, instance.m, Fraction(1)
+        )
+        problems.extend(f"step {step}: {what}" for what in found)
+        longest_slide = max(longest_slide, slide)
         for j, share in run.shares.items():
             rem[j] -= run.count * share
             if rem[j] <= 0:
@@ -216,3 +234,54 @@ def test_random_instances_window_properties():
         assert unit_makespan(reqs, k, Fraction(1)) == int_res.makespan
         problems, _ = window_violations(inst, int_res)
         assert problems == [], (family, k, n, problems[:3])
+
+
+def drive_per_call(reqs, m, rng):
+    """Run one :class:`UnitWindowPolicy` over *reqs* to the end with a
+    random ``size`` in 1..m and ``budget`` in (0, 2] on every call; return
+    the problems found, the longest ι-free slide and the step count."""
+    policy = UnitWindowPolicy(Fraction(1), sorted(
+        (v, j) for j, v in enumerate(reqs)
+    ))
+    rem = dict(enumerate(reqs))
+    total = dict(rem)
+    problems = []
+    longest_slide = 0
+    steps = 0
+    while rem:
+        size = rng.randint(1, m)
+        budget = Fraction(rng.randint(1, 600), 300)
+        shares = {}
+        used = policy.step(size, budget, shares)
+        found, slide = step_violations(
+            rem, total, list(shares), shares, size, budget
+        )
+        if used != sum(shares.values()) or used > budget:
+            found.append(f"used {used} for shares {shares}")
+        problems.extend(f"step {steps}: {what}" for what in found)
+        longest_slide = max(longest_slide, slide)
+        for j, share in shares.items():
+            rem[j] -= share
+            if rem[j] <= 0:
+                del rem[j]
+        if policy.done != (not rem):
+            problems.append(f"step {steps}: done is {policy.done}")
+        steps += 1
+    return problems, longest_slide, steps
+
+
+def test_per_call_size_and_budget():
+    """One policy, a random ``(size, budget)`` per step: every window is
+    size-maximal under that step's budget, and the inputs reach the
+    ι-free slide search."""
+    rng = random.Random(0x5EED)
+    cases = [(family, m, 150) for family in sorted(FAMILIES)
+             for m in (2, 5, 16)]
+    cases.append(("tiny_heavy", 4, N))
+    longest = 0
+    for family, m, n in cases:
+        reqs = FAMILIES[family](rng, n)
+        problems, slide, _ = drive_per_call(reqs, m, rng)
+        assert problems == [], (family, m, n, problems[:3])
+        longest = max(longest, slide)
+    assert longest >= 400
