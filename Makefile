@@ -7,31 +7,33 @@ export PYTHONPATH := src
 test:
 	$(PYTHON) -m pytest -x -q
 
-# fast bench smoke: E4 + SRT micro-benches + BENCH_1/BENCH_2 at small scale
+# fast bench smoke: E4 + SRT micro-benches + the BENCH_1/BENCH_2 reports at
+# small scale (written to pytest's tmp dir, never over the committed files)
 bench-smoke:
 	REPRO_BENCH_SCALE=small $(PYTHON) -m pytest \
 		benchmarks/bench_e4_runtime.py benchmarks/bench_srt_runtime.py -q
 
-# regenerate the standalone bench-regression artifacts
+# regenerate one BENCH artifact with every point timed fresh: `sweep run`
+# against an empty throwaway cache dir (removed when the recipe exits)
 bench:
-	$(PYTHON) -m repro.perf.bench --scale small -o BENCH_1.json
+	cache=$$(mktemp -d); trap 'rm -rf "$$cache"' EXIT; \
+		$(PYTHON) -m repro sweep run bench --cache-dir "$$cache"
 
 bench-srt:
-	$(PYTHON) -m repro.perf.bench_srt --scale small -o BENCH_2.json
+	cache=$$(mktemp -d); trap 'rm -rf "$$cache"' EXIT; \
+		$(PYTHON) -m repro sweep run bench-srt --cache-dir "$$cache"
 
 bench-obs:
-	$(PYTHON) -m repro.perf.bench_obs --scale small -o BENCH_3.json
+	cache=$$(mktemp -d); trap 'rm -rf "$$cache"' EXIT; \
+		$(PYTHON) -m repro sweep run bench-obs --cache-dir "$$cache"
 
 # incremental BENCH regeneration on the experiment fabric: points are
 # content-addressed in .repro-cache/sweeps, so only points whose inputs
 # (grid, seed, reps, schema salt) changed are re-timed (docs/SCALING.md)
 bench-incremental:
-	$(PYTHON) -m repro.perf.bench --scale small -o BENCH_1.json \
-		--cache-dir .repro-cache/sweeps
-	$(PYTHON) -m repro.perf.bench_srt --scale small -o BENCH_2.json \
-		--cache-dir .repro-cache/sweeps
-	$(PYTHON) -m repro.perf.bench_obs --scale small -o BENCH_3.json \
-		--cache-dir .repro-cache/sweeps
+	$(PYTHON) -m repro sweep run bench --cache-dir .repro-cache/sweeps
+	$(PYTHON) -m repro sweep run bench-srt --cache-dir .repro-cache/sweeps
+	$(PYTHON) -m repro sweep run bench-obs --cache-dir .repro-cache/sweeps
 
 # observability gates: observer overhead (BENCH_3.json; no-op <= 5%,
 # full stats <= 30%) plus a stats-CLI toy run whose observer/result

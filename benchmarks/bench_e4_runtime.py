@@ -6,27 +6,24 @@ timings at three sizes — the "series" behind the scaling figure.  Each size
 is benchmarked on both the Fraction reference backend and the exact
 scaled-integer kernel, so a regression in either shows up here.
 
-``bench_e4_regression_report`` additionally runs the standalone
-bench-regression harness (:mod:`repro.perf.bench`) and writes its
-``BENCH_1.json`` next to the repo root; this file records per-point
-wall-clock, speedup and peak RSS and is the artifact the ≥10× speedup
-acceptance criterion is checked against.  The smoke invocation is::
+``bench_e4_regression_report`` additionally builds the ``BENCH_1.json``
+report (the ``bench`` sweep of :mod:`repro.sweep.registry`: per-point
+wall-clock, speedup and peak RSS) into pytest's temporary directory; the
+committed artifact is regenerated only by ``repro-sched sweep run bench``
+(``make bench`` / ``make bench-incremental``).  The smoke invocation is::
 
     REPRO_BENCH_SCALE=small pytest benchmarks/bench_e4_runtime.py -q
 """
 
 import random
-from pathlib import Path
 
 from repro.analysis import run_e4
 from repro.core.scheduler import schedule_srj
 from repro.perf import solve_srj
-from repro.perf.bench import run_bench, write_report
+from repro.sweep.registry import run_report
 from repro.workloads import make_instance
 
 from conftest import SCALE, run_table
-
-REPO_ROOT = Path(__file__).resolve().parent.parent
 
 
 def bench_e4_table(benchmark, capsys):
@@ -72,13 +69,13 @@ def bench_srj_int_m64_n400(benchmark):
     benchmark(solve_srj, inst, backend="int")
 
 
-def bench_e4_regression_report(benchmark, capsys):
-    """Run the BENCH_1.json harness once under the benchmark timer."""
+def bench_e4_regression_report(benchmark, capsys, tmp_path):
+    """Build the BENCH_1.json report once under the benchmark timer."""
+    out = tmp_path / "BENCH_1.json"
     report = benchmark.pedantic(
-        lambda: run_bench(scale=SCALE, seed=0), rounds=1, iterations=1
+        lambda: run_report("bench", SCALE, 0, out=out),
+        rounds=1, iterations=1,
     )
-    out = REPO_ROOT / "BENCH_1.json"
-    write_report(report, out)
     with capsys.disabled():
         s = report["summary"]
         print()

@@ -2,9 +2,10 @@
 
 Companion to ``bench_e4_runtime.py`` (``BENCH_1.json``) and
 ``bench_srt_runtime.py`` (``BENCH_2.json``): micro-benchmarks the engine
-in its three instrumentation modes and runs the standalone gate harness
-(:mod:`repro.perf.bench_obs`), writing ``BENCH_3.json`` next to the repo
-root.  The gates — an installed no-op observer within 5% of the bare
+in its three instrumentation modes and builds the ``BENCH_3.json`` report
+(the ``bench-obs`` sweep) into pytest's temporary directory; the
+committed artifact is regenerated only by ``repro-sched sweep run
+bench-obs``.  The gates — an installed no-op observer within 5% of the bare
 loop, full stats collection within 30% — are asserted here, so a
 regression in the observer hot path fails the benchmark suite.  The
 smoke invocation is::
@@ -13,16 +14,14 @@ smoke invocation is::
 """
 
 import random
-from pathlib import Path
 
 from repro.engine.api import solve_srj
 from repro.obs import NULL_OBSERVER
-from repro.perf.bench_obs import GATE_NOOP, GATE_STATS, run_bench_obs, write_report
+from repro.perf import bench
+from repro.sweep.registry import run_report
 from repro.workloads import make_instance
 
 from conftest import SCALE
-
-REPO_ROOT = Path(__file__).resolve().parent.parent
 
 
 def _instance(m=8, n=300, seed=42):
@@ -44,28 +43,28 @@ def bench_srj_int_collect_stats(benchmark):
     benchmark(solve_srj, inst, backend="int", collect_stats=True)
 
 
-def bench_obs_overhead_report(benchmark, capsys):
-    """Run the BENCH_3.json gate harness once under the benchmark timer."""
+def bench_obs_overhead_report(benchmark, capsys, tmp_path):
+    """Build the BENCH_3.json gate report once under the benchmark timer."""
+    out = tmp_path / "BENCH_3.json"
     report = benchmark.pedantic(
-        lambda: run_bench_obs(scale=SCALE, seed=0), rounds=1, iterations=1
+        lambda: run_report("bench-obs", SCALE, 0, out=out),
+        rounds=1, iterations=1,
     )
-    out = REPO_ROOT / "BENCH_3.json"
-    write_report(report, out)
     s = report["summary"]
     with capsys.disabled():
         print()
         print(
             f"BENCH_3.json written to {out} — no-op observer "
-            f"{s['max_noop_overhead']:+.2%} (gate {GATE_NOOP:.0%}), "
+            f"{s['max_noop_overhead']:+.2%} (gate {bench.GATE_NOOP:.0%}), "
             f"full stats {s['max_stats_overhead']:+.2%} "
-            f"(gate {GATE_STATS:.0%})"
+            f"(gate {bench.GATE_STATS:.0%})"
         )
     assert report["rows"], "observer overhead harness produced no rows"
-    assert s["max_noop_overhead"] <= GATE_NOOP, (
+    assert s["max_noop_overhead"] <= bench.GATE_NOOP, (
         f"no-op observer overhead {s['max_noop_overhead']:+.2%} exceeds "
-        f"the {GATE_NOOP:.0%} gate"
+        f"the {bench.GATE_NOOP:.0%} gate"
     )
-    assert s["max_stats_overhead"] <= GATE_STATS, (
+    assert s["max_stats_overhead"] <= bench.GATE_STATS, (
         f"stats collection overhead {s['max_stats_overhead']:+.2%} exceeds "
-        f"the {GATE_STATS:.0%} gate"
+        f"the {bench.GATE_STATS:.0%} gate"
     )

@@ -2,23 +2,21 @@
 
 Companion to ``bench_e4_runtime.py`` (which covers the general SRJ kernel
 and ``BENCH_1.json``): micro-benchmarks the Theorem-4.8 SRT scheduler on
-the exact-rational and scaled-integer engine backends, then runs the
-standalone regression harness (:mod:`repro.perf.bench_srt`) and writes
-``BENCH_2.json`` next to the repo root.  The smoke invocation is::
+the exact-rational and scaled-integer engine backends, then builds the
+``BENCH_2.json`` report (the ``bench-srt`` sweep) into pytest's temporary
+directory; the committed artifact is regenerated only by
+``repro-sched sweep run bench-srt``.  The smoke invocation is::
 
     REPRO_BENCH_SCALE=small pytest benchmarks/bench_srt_runtime.py -q
 """
 
 import random
-from pathlib import Path
 
-from repro.perf.bench_srt import run_bench_srt, write_report
+from repro.sweep.registry import run_report
 from repro.tasks import solve_srt
 from repro.workloads import make_taskset
 
 from conftest import SCALE
-
-REPO_ROOT = Path(__file__).resolve().parent.parent
 
 
 def _taskset(k, m=8, seed=42):
@@ -40,13 +38,13 @@ def bench_srt_int_k80(benchmark):
     benchmark(solve_srt, ti, backend="int")
 
 
-def bench_srt_regression_report(benchmark, capsys):
-    """Run the BENCH_2.json harness once under the benchmark timer."""
+def bench_srt_regression_report(benchmark, capsys, tmp_path):
+    """Build the BENCH_2.json report once under the benchmark timer."""
+    out = tmp_path / "BENCH_2.json"
     report = benchmark.pedantic(
-        lambda: run_bench_srt(scale=SCALE, seed=0), rounds=1, iterations=1
+        lambda: run_report("bench-srt", SCALE, 0, out=out),
+        rounds=1, iterations=1,
     )
-    out = REPO_ROOT / "BENCH_2.json"
-    write_report(report, out)
     with capsys.disabled():
         s = report["summary"]
         print()

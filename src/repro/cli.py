@@ -18,10 +18,11 @@ Subcommands
   generated from a seed), validate the recovered schedule and print the
   degradation report (see docs/ROBUSTNESS.md);
 * ``sweep`` — run/resume/status/trace a registered sweep on the
-  experiment fabric; ``status --follow`` tails the live heartbeat
-  telemetry of a running sweep, ``run --trace-spans`` records a
-  hierarchical span trace and ``trace`` merges the span shards into the
-  canonical ``TRACE.jsonl`` (see docs/OBSERVABILITY.md);
+  experiment fabric (``run`` writes the BENCH_*/FAULTSWEEP reports);
+  ``status --follow`` tails the live heartbeat telemetry of a running
+  sweep, ``run --trace-spans`` records a hierarchical span trace and
+  ``trace`` merges the span shards into the canonical ``TRACE.jsonl``
+  (see docs/OBSERVABILITY.md);
 * ``perf`` — the durable perf time-series: ``ingest`` appends a BENCH
   report to the history store, ``history`` summarizes it, ``compare``
   diffs a fresh report against the rolling baseline and exits 1 on a
@@ -561,7 +562,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
     from .perf.bench import parse_shard
     from .sweep import DEFAULT_CACHE_DIR, sweep_status
-    from .sweep.registry import get_sweep
+    from .sweep.registry import get_sweep, run_report
     from .sweep.runner import SPAN_DIR_NAME
     from .sweep.store import ResultStore
 
@@ -617,8 +618,9 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     out = args.out if args.out is not None else (
         None if shard is not None else entry.default_out
     )
-    report = entry.run(
-        args.scale, args.seed, args.cache_dir, args.workers, shard, out,
+    report = run_report(
+        entry.name, args.scale, args.seed, out=out,
+        cache_dir=args.cache_dir, workers=args.workers, shard=shard,
         spans=args.trace_spans, timeout=args.timeout,
         retries=args.retries, backoff=args.backoff,
     )
@@ -850,6 +852,8 @@ def _cmd_report(args: argparse.Namespace) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    from .perf.bench import add_sweep_flags
+
     parser = argparse.ArgumentParser(
         prog="repro-sched",
         description="Multiprocessor scheduling with a sharable resource "
@@ -1035,16 +1039,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--scale", choices=("small", "full"), default="small")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument(
-        "--cache-dir", default=None, metavar="DIR",
-        help="content-addressed result store "
-        "(default: .repro-cache/sweeps)",
-    )
-    p.add_argument(
-        "--shard", default=None, metavar="I/K",
-        help="run only points with index %% K == I into the shared cache",
-    )
-    p.add_argument("--workers", type=int, default=None)
+    add_sweep_flags(p)
     p.add_argument(
         "-o", "--out", default=None, metavar="FILE",
         help="report artifact (default: the sweep's canonical file, "
@@ -1072,21 +1067,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--timings", action="store_true",
         help="with 'trace': keep wall-clock fields in the merged trace "
         "(default drops them so the output is byte-reproducible)",
-    )
-    p.add_argument(
-        "--timeout", type=float, default=None, metavar="SECONDS",
-        help="per-point wall-clock bound, counted from the moment the "
-        "point reaches a worker (default: unbounded)",
-    )
-    p.add_argument(
-        "--retries", type=int, default=2, metavar="N",
-        help="re-runs for points lost to a crashed worker or a timeout "
-        "(default: 2)",
-    )
-    p.add_argument(
-        "--backoff", type=float, default=0.05, metavar="SECONDS",
-        help="base delay between retry rounds, doubled each round "
-        "(default: 0.05)",
     )
     p.set_defaults(func=_cmd_sweep)
 

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from ..numeric import ceil_frac, frac_sum
+from ..numeric import ceil_frac
 from .instance import Instance
 
 
@@ -58,4 +58,4 @@ def makespan_lower_bound(instance: Instance) -> int:
 
 def fractional_load(instance: Instance) -> Fraction:
     """``Σ_j s_j`` without rounding — useful for analysis plots."""
-    return frac_sum(job.total_requirement for job in instance.jobs)
+    return instance.total_work()

@@ -9,12 +9,13 @@ schedules can be mapped back.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import attrgetter
 from typing import Iterable, Optional, Sequence
 
-from ..numeric import Number, frac_sum, to_fraction
+from ..numeric import Number, to_fraction
 from .job import Job
 
 
@@ -161,8 +162,21 @@ class Instance:
         return self.jobs[job_id].total_requirement
 
     def total_work(self) -> Fraction:
-        """``Σ_j s_j`` — total resource that must be delivered."""
-        return frac_sum(job.total_requirement for job in self.jobs)
+        """``Σ_j s_j`` — total resource that must be delivered.
+
+        Summed in integers at ``L``, the LCM of the requirement
+        denominators: ``Σ_j p_j·num(r_j)·(L / den(r_j)) / L``, one
+        Fraction in all instead of one per job.
+        """
+        lcm = math.lcm(*(job.requirement.denominator for job in self.jobs))
+        return Fraction(
+            sum(
+                job.size * job.requirement.numerator
+                * (lcm // job.requirement.denominator)
+                for job in self.jobs
+            ),
+            lcm,
+        )
 
     def total_steps_lower(self) -> int:
         """``Σ_j ⌈s_j/r_j⌉ = Σ_j p_j`` — total processor-steps needed

@@ -1,12 +1,13 @@
 """Durable perf time-series: bench rows → history → regression gates.
 
-The BENCH harnesses (:mod:`repro.perf.bench` / ``bench_srt`` /
-``bench_obs``) emit schema-2 reports whose rows mix *identity* fields
-(grid parameters: ``m``, ``n``, ``sweep``, plus the deterministic
-``makespan`` cross-check) with *measurement* fields (median-of-reps
-timings ``*_s``, their ``*_mean_s`` companions, ``speedup`` and the
-``*_overhead`` ratios).  Fixed thresholds ("15.4x", "≤ 5%") age badly:
-they are re-asserted against whatever machine last regenerated the file.
+The BENCH reports (``repro-sched sweep run bench|bench-srt|bench-obs``,
+built by :func:`repro.sweep.registry.run_report`) are schema-2 reports
+whose rows mix *identity* fields (grid parameters: ``m``, ``n``,
+``sweep``, plus the deterministic ``makespan`` cross-check) with
+*measurement* fields (median-of-reps timings ``*_s``, their ``*_mean_s``
+companions, ``speedup`` and the ``*_overhead`` ratios).  Fixed
+thresholds ("15.4x", "≤ 5%") age badly: they are re-asserted against
+whatever machine last regenerated the file.
 :class:`PerfHistory` replaces that with a durable, content-addressed
 record of every measurement over time:
 

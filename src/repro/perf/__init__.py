@@ -17,11 +17,11 @@ package keeps the perf-facing entry points and harnesses:
   its lifetime and opened once per :func:`~repro.sweep.run_sweep` call;
   :func:`parallel_map` is its serial shortcut plus a one-shot pool, and
   :func:`seed_for` derives worker-count-independent per-trial seeds.
-* :mod:`repro.perf.bench` — the bench-regression harness producing
-  ``BENCH_1.json`` (general SRJ, wall-clock per backend, speedup, RSS;
-  plus the unit-size int kernel's scaling series up to n = 10⁵).
-* :mod:`repro.perf.bench_srt` — the same for the SRT scheduler,
-  producing ``BENCH_2.json``.
+* ``perf/bench.py`` — the point functions, specs and summaries of
+  the three BENCH report sweeps (``BENCH_1.json``: general SRJ on both
+  backends plus the unit-size int series up to n = 10⁵; ``BENCH_2.json``:
+  the SRT scheduler; ``BENCH_3.json``: the observer-overhead gate), which
+  ``repro-sched sweep run`` turns into reports.
 
 See ``docs/PERFORMANCE.md`` for the exactness argument and usage.
 """
@@ -35,20 +35,4 @@ __all__ = [
     "WorkerPool",
     "seed_for",
     "auto_workers",
-    "run_bench",
-    "run_bench_srt",
 ]
-
-
-def __getattr__(name: str):
-    # lazy so `python -m repro.perf.bench` doesn't double-import the module
-    # (runpy warns when the package __init__ already loaded it)
-    if name == "run_bench":
-        from .bench import run_bench
-
-        return run_bench
-    if name == "run_bench_srt":
-        from .bench_srt import run_bench_srt
-
-        return run_bench_srt
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

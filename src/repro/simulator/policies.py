@@ -34,14 +34,24 @@ def _machine(state: SchedulerState):
 
 
 class SlidingWindowPolicy:
-    """Listing 1 as an online policy (step-exact)."""
+    """Listing 1 as an online policy (step-exact).
+
+    Listing 1 needs m ≥ 2 (its window reserves a processor for the next
+    job); on an m = 1 machine the policy runs the jobs one at a time in
+    canonical order, each at ``min(r_j, budget)``, as ``solve_srj`` does.
+    """
 
     def __init__(self, window_size: Optional[int] = None) -> None:
         self._window: List[int] = []
         self._window_size = window_size
 
     def decide(self, state: SchedulerState) -> Dict[int, Fraction]:
-        budget, _online = _machine(state)
+        budget, online = _machine(state)
+        if state.instance.m == 1:
+            if not online:
+                return {}
+            job_id = state.unfinished()[0]
+            return {job_id: min(state.instance.requirement(job_id), budget)}
         size = (
             self._window_size
             if self._window_size is not None

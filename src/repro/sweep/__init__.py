@@ -15,10 +15,11 @@ one subsystem instead of its own ad-hoc loop:
   one :class:`repro.perf.WorkerPool` per call; a killed sweep resumes
   where it stopped and merged results are bit-identical for any worker
   count, shard count or interrupt pattern.
-* :func:`scale_grid` (:mod:`.grids`) — the shared small/full scale grids
-  the bench harnesses used to duplicate.
-* :data:`SWEEPS` (:mod:`.registry`) — the named sweeps behind the
-  ``repro-sched sweep run|resume|status`` CLI.
+* :func:`scale_grid` (:mod:`.grids`) — the small/full scale grids of
+  the BENCH sweeps.
+* :data:`SWEEPS` and :func:`run_report` (:mod:`.registry`) — the table of
+  named report sweeps behind ``repro-sched sweep run|resume|status``, and
+  the one function that builds every BENCH/FAULTSWEEP report.
 
 See ``docs/SCALING.md`` for the architecture, resume semantics and
 cache-invalidation rules; ``python -m repro.sweep.smoke`` is the

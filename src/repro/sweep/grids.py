@@ -1,10 +1,9 @@
-"""Shared scale grids for the bench harnesses.
+"""Scale grids of the BENCH report sweeps.
 
-``repro/perf/bench.py`` and ``repro/perf/bench_srt.py`` used to carry
-near-identical private ``_sweep_points(scale)`` tables; this module is the
-one place those grids live now (``bench_obs`` too).  Each grid maps a
-``scale`` knob (``"small"`` for CI-fast runs, ``"full"`` for the benchmark
-harness) to the axis values of that bench's sweep.
+The one place the axis values of the ``bench``, ``bench-srt`` and
+``bench-obs`` sweeps live: each grid maps a ``scale`` knob (``"small"``
+for CI-fast runs, ``"full"`` for the benchmark harness) to the axis
+values of that bench's sweep.
 """
 
 from __future__ import annotations

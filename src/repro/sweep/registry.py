@@ -1,160 +1,134 @@
-"""Named sweeps for the ``repro-sched sweep`` CLI.
+"""Named report sweeps and the one function that builds their reports.
 
-Each entry maps a stable name to (a) a spec builder, so ``sweep status``
-can report cache coverage without solving anything, and (b) a runner that
-produces the full report artifact (summary included) when the sweep is
-complete.  The entries wrap the migrated harnesses — the BENCH trio and
-the fault-injection stress sweep — so the CLI, the Makefile and CI all
-drive the exact same point enumerations.
+:data:`SWEEPS` is the table behind ``repro-sched sweep run|resume|status``:
+each row names a sweep, its report title and default artifact, a spec
+builder (so ``sweep status`` can report cache coverage without solving
+anything) and the summary of a complete run.  :func:`run_report` runs any
+row on the fabric and writes its report, so the CLI, the Makefile, CI and
+the benchmark wrappers all drive the same point enumerations and the same
+report layout.
 """
 
 from __future__ import annotations
 
+import platform
 from dataclasses import dataclass
-from typing import Callable, Dict, Optional, Tuple
+from typing import Callable, Dict, List, Optional
 
-from ..perf.parallel import BACKOFF_BASE
+from ..perf import bench
+from ..perf.faultsweep import faultsweep_spec
+from .runner import run_sweep
 from .spec import SweepSpec
 
-__all__ = ["SweepEntry", "SWEEPS", "get_sweep"]
+__all__ = ["SweepEntry", "SWEEPS", "get_sweep", "run_report"]
 
-#: faultsweep scale presets (the CLI-facing analogue of the bench grids)
+
+@dataclass(frozen=True)
+class SweepEntry:
+    """One CLI-addressable report sweep."""
+
+    name: str
+    #: the report's ``bench`` field (perf-history series are keyed on it)
+    title: str
+    default_out: str
+    #: ``(scale, seed, reps=None) -> SweepSpec``
+    build_spec: Callable[..., SweepSpec]
+    #: the ``summary`` of a complete run's rows
+    summarize: Callable[[List[Dict]], Dict]
+
+
+#: faultsweep scale presets (the fault analogue of the bench grids)
 _FAULT_SCALE = {
     "small": {"trials": 8, "m": 4, "n": 16, "events": 5, "horizon": 100},
     "full": {"trials": 40, "m": 4, "n": 24, "events": 6, "horizon": 200},
 }
 
 
-@dataclass(frozen=True)
-class SweepEntry:
-    """One CLI-addressable sweep."""
-
-    name: str
-    description: str
-    default_out: str
-    build_spec: Callable[[str, int], SweepSpec]
-    #: (scale, seed, cache_dir, workers, shard, out, spans=False,
-    #:  timeout=None, retries=2, backoff=BACKOFF_BASE)
-    run: Callable[..., Dict]
-
-
-def _bench_entry() -> SweepEntry:
-    from ..perf.bench import bench_spec, run_bench
-
-    def run(scale, seed, cache_dir, workers, shard, out, spans=False,
-            timeout=None, retries=2, backoff=BACKOFF_BASE):
-        return run_bench(
-            scale=scale, seed=seed, out=out, cache_dir=cache_dir,
-            workers=workers, shard=shard, spans=spans, timeout=timeout,
-            retries=retries, backoff=backoff,
-        )
-
-    return SweepEntry(
-        "bench", "E4 runtime bench, fraction vs int backend (BENCH_1)",
-        "BENCH_1.json", lambda scale, seed: bench_spec(scale, seed), run,
-    )
-
-
-def _bench_srt_entry() -> SweepEntry:
-    from ..perf.bench_srt import bench_srt_spec, run_bench_srt
-
-    def run(scale, seed, cache_dir, workers, shard, out, spans=False,
-            timeout=None, retries=2, backoff=BACKOFF_BASE):
-        return run_bench_srt(
-            scale=scale, seed=seed, out=out, cache_dir=cache_dir,
-            workers=workers, shard=shard, spans=spans, timeout=timeout,
-            retries=retries, backoff=backoff,
-        )
-
-    return SweepEntry(
-        "bench-srt", "SRT runtime bench, fraction vs int backend (BENCH_2)",
-        "BENCH_2.json", lambda scale, seed: bench_srt_spec(scale, seed), run,
-    )
-
-
-def _bench_obs_entry() -> SweepEntry:
-    from ..perf.bench_obs import bench_obs_spec, run_bench_obs
-
-    def run(scale, seed, cache_dir, workers, shard, out, spans=False,
-            timeout=None, retries=2, backoff=BACKOFF_BASE):
-        return run_bench_obs(
-            scale=scale, seed=seed, out=out, cache_dir=cache_dir,
-            workers=workers, shard=shard, spans=spans, timeout=timeout,
-            retries=retries, backoff=backoff,
-        )
-
-    return SweepEntry(
-        "bench-obs", "observer-overhead gate, three modes (BENCH_3)",
-        "BENCH_3.json", lambda scale, seed: bench_obs_spec(scale, seed), run,
-    )
-
-
-def _faultsweep_entry() -> SweepEntry:
-    from ..perf.bench import write_report
-    from ..perf.faultsweep import faultsweep_spec
-    from .runner import run_sweep
-
-    def build_spec(scale: str, seed: int) -> SweepSpec:
-        preset = dict(_FAULT_SCALE[_check_scale(scale)])
-        trials = preset.pop("trials")
-        return faultsweep_spec(trials=trials, seed=seed, **preset)
-
-    def run(scale, seed, cache_dir, workers, shard, out, spans=False,
-            timeout=None, retries=2, backoff=BACKOFF_BASE):
-        sweep = run_sweep(
-            build_spec(scale, seed), cache_dir=cache_dir,
-            workers=workers, shard=shard, spans=spans, timeout=timeout,
-            retries=retries, backoff=backoff,
-        )
-        report = {
-            "sweep": "faultsweep", "scale": scale, "seed": seed,
-            "cache": {"hits": sweep.cache_hits, "solved": sweep.solved},
-            "rows": sweep.rows,
-        }
-        if sweep.complete:
-            report["summary"] = {
-                "trials": len(sweep.rows),
-                "invalid": sum(1 for r in sweep.rows if not r["valid"]),
-            }
-        else:
-            report["partial"] = True
-        if out:
-            write_report(report, out)
-        return report
-
-    return SweepEntry(
-        "faultsweep", "fault-injection stress sweep (validated recovery)",
-        "FAULTSWEEP.json", build_spec, run,
-    )
-
-
-def _check_scale(scale: str) -> str:
+def _faultsweep_spec(
+    scale: str, seed: int, reps: Optional[int] = None
+) -> SweepSpec:
     if scale not in _FAULT_SCALE:
         raise ValueError(f"unknown scale {scale!r}")
-    return scale
+    return faultsweep_spec(seed=seed, **_FAULT_SCALE[scale])
 
 
-def _entries() -> Dict[str, SweepEntry]:
+def _faultsweep_summary(rows: List[Dict]) -> Dict:
     return {
-        e.name: e
-        for e in (
-            _bench_entry(), _bench_srt_entry(), _bench_obs_entry(),
-            _faultsweep_entry(),
-        )
+        "trials": len(rows),
+        "invalid": sum(1 for r in rows if not r["valid"]),
     }
 
 
-#: name -> entry, built lazily on first CLI use
-SWEEPS: Dict[str, SweepEntry] = {}
+SWEEPS: Dict[str, SweepEntry] = {
+    e.name: e
+    for e in (
+        SweepEntry(
+            "bench", "E4 runtime, fraction vs int backend", "BENCH_1.json",
+            bench.bench_spec, bench.summarize_bench,
+        ),
+        SweepEntry(
+            "bench-srt", "SRT runtime, fraction vs int backend",
+            "BENCH_2.json", bench.bench_srt_spec, bench.summarize_srt,
+        ),
+        SweepEntry(
+            "bench-obs", "observer overhead, SRJ int kernel", "BENCH_3.json",
+            bench.bench_obs_spec, bench.summarize_obs,
+        ),
+        SweepEntry(
+            "faultsweep", "fault-injection stress sweep (validated recovery)",
+            "FAULTSWEEP.json", _faultsweep_spec, _faultsweep_summary,
+        ),
+    )
+}
 
 
 def get_sweep(name: str) -> SweepEntry:
     """The named entry; raises :class:`ValueError` with the valid names."""
-    if not SWEEPS:
-        SWEEPS.update(_entries())
     try:
         return SWEEPS[name]
     except KeyError:
         raise ValueError(
             f"unknown sweep {name!r} (choose from: {', '.join(sorted(SWEEPS))})"
         ) from None
+
+
+def run_report(
+    name: str,
+    scale: str = "small",
+    seed: int = 0,
+    *,
+    reps: Optional[int] = None,
+    out: Optional[str] = None,
+    **fabric,
+) -> Dict[str, object]:
+    """Run sweep *name* on the fabric; return (and with *out*, write) its
+    report.
+
+    *fabric* passes through to :func:`~repro.sweep.run_sweep`
+    (``cache_dir``, ``workers``, ``shard``, ``spans``, ``timeout``,
+    ``retries``, ``backoff``).  With a cache, previously solved points
+    are reused (their recorded timings included); a sharded or otherwise
+    incomplete run is marked ``partial`` and has no summary until an
+    unsharded run assembles the full report from the cache.
+    """
+    entry = get_sweep(name)
+    spec = entry.build_spec(scale, seed, reps)
+    sweep = run_sweep(spec, **fabric)
+    report: Dict[str, object] = {
+        "schema": bench.SCHEMA,
+        "bench": entry.title,
+        "scale": scale,
+        "seed": seed,
+        "reps": spec.points[0].params.get("reps") if spec.points else reps,
+        "python": platform.python_version(),
+        "platform": platform.platform(),
+        "cache": {"hits": sweep.cache_hits, "solved": sweep.solved},
+        "rows": sweep.rows,
+    }
+    if sweep.complete:
+        report["summary"] = entry.summarize(sweep.rows)
+    else:
+        report["partial"] = True
+    if out:
+        bench.write_report(report, out)
+    return report

@@ -97,7 +97,8 @@ class TestCombined:
 
 class TestIntegerForms:
     """The processor and longest-job terms are computed from ``p_j`` in
-    integers (``s_j / r_j = p_j``); they equal their Fraction definitions."""
+    integers (``s_j / r_j = p_j``) and the resource term at the LCM of the
+    requirement denominators; they equal their Fraction definitions."""
 
     @given(inst=srj_instances(min_m=1, max_m=9, min_n=0, max_n=14))
     @settings(max_examples=400, deadline=None)
@@ -116,3 +117,6 @@ class TestIntegerForms:
             assert job.min_steps == ceil_div(
                 job.total_requirement, min(job.requirement, Fraction(1))
             )
+        work = sum((job.total_requirement for job in inst.jobs), Fraction(0))
+        assert inst.total_work() == work
+        assert fractional_load(inst) == work

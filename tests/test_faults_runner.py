@@ -115,6 +115,71 @@ class TestFaultedRuns:
         assert res.degradation is None
 
 
+class TestSeededDefects:
+    """``validate_faulted`` reports each defect seeded into the valid
+    ``_plan()`` run (``test_scenario_valid_and_complete`` passes it)."""
+
+    @staticmethod
+    def _violations(mutate):
+        res = run_with_faults(_inst(), _plan())
+        mutate(res)
+        report = validate_faulted(res)
+        assert not report.ok
+        return report.violations
+
+    def test_share_raised_by_capacity(self):
+        def mutate(res):
+            seg = res.segments[0]
+            run = seg.runs[0]
+            job = min(run.shares)
+            run.shares = {**run.shares, job: run.shares[job] + seg.capacity}
+
+        violations = self._violations(mutate)
+        assert any("run 0: resource overuse" in v for v in violations)
+        assert any("exceeds requirement" in v for v in violations)
+
+    def test_job_on_offline_processor(self):
+        def mutate(res):
+            seg = next(
+                s for s in res.segments
+                if s.runs and len(s.processors) < res.instance.m
+            )
+            down = min(set(range(res.instance.m)) - set(seg.processors))
+            run = seg.runs[0]
+            run.processors = {**run.processors, min(run.shares): down}
+
+        violations = self._violations(mutate)
+        assert any(
+            "on offline processor 0" in v for v in violations
+        ), violations
+
+    def test_run_count_past_segment(self):
+        def mutate(res):
+            res.segments[0].runs[0].count += 1
+
+        violations = self._violations(mutate)
+        seg = run_with_faults(_inst(), _plan()).segments[0]
+        assert (
+            f"segment 0 covers {seg.length + 1} steps, length {seg.length}"
+            in violations
+        )
+
+    def test_dropped_share(self):
+        dropped = []
+
+        def mutate(res):
+            run = res.segments[-1].runs[0]
+            dropped.append(min(run.shares))
+            run.shares = {
+                j: s for j, s in run.shares.items() if j != dropped[0]
+            }
+
+        violations = self._violations(mutate)
+        assert any(
+            v.startswith(f"job {dropped[0]} delivered") for v in violations
+        ), violations
+
+
 class TestBackendIdentity:
     def test_fraction_and_int_identical(self):
         inst = _inst(m=4, n=14, seed=5)

@@ -5,8 +5,11 @@ Each digest hashes every observable output of a fixed, seeded corpus:
 full RLE traces (shares, processors, counts, cases, windows), completion
 times, step statistics and the collected telemetry counters.  The
 Listing-1 values come from the three separate implementations that
-preceded :func:`repro.engine.policies.window_step`; the SRT value comes
-from the per-task window that preceded the SRT engine's use of
+preceded :func:`repro.engine.policies.window_step`, except that the
+simulator value was re-recorded when its window policy began running
+m = 1 machines serially (only the records of the corpus's five m = 1
+instances changed; they had all raised); the SRT value comes from the
+per-task window that preceded the SRT engine's use of
 :class:`repro.engine.policies.UnitWindowPolicy`.  Any change to a decision
 (or to an error message on the paths that raise) shows up here as a
 digest mismatch.
@@ -43,7 +46,7 @@ SRJ_DIGEST = (
     "b765d2df368b62f765425ba8481ce91b84478748ff7e485c17a87c51a8c708b0"
 )
 SIMULATOR_DIGEST = (
-    "a585f18022cea5776f7bb04457077256688c047c7c92e112ab0f7b54d3465847"
+    "1b3eaaeb0ba322bdf9a799d4379abe15aa26ac127ada9c0c206bb7634e17be2b"
 )
 ONLINE_DIGEST = (
     "88ac98baae8f440a0cee6a362d378e866140f00fd30793ac536080bf97d8a4c0"

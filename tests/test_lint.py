@@ -305,7 +305,8 @@ class TestDerivedIdentity:
 
     def test_out_of_scope_file_ignored(self, tmp_path):
         findings = _findings(
-            tmp_path, "repro/perf/bench.py", "import time\nt = time.time()\n",
+            tmp_path, "repro/perf/faultsweep.py",
+            "import time\nt = time.time()\n",
             rule="derived-identity",
         )
         assert findings == []

@@ -35,8 +35,8 @@ from repro.core.unit import schedule_unit
 from repro.core.validate import validate_result
 from repro.engine.api import unit_makespan
 from repro.engine.backends.integer import lcm_denominator
-from repro.perf import auto_workers, parallel_map, seed_for, solve_srj
-from repro.perf.bench import peak_rss_kb, write_report
+from repro.perf import auto_workers, bench, parallel_map, seed_for, solve_srj
+from repro.sweep.registry import run_report
 from repro.workloads import FAMILIES, make_instance
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
@@ -233,44 +233,41 @@ class TestParallelRunner:
 
 class TestBenchHarness:
     def test_peak_rss_positive(self):
-        assert peak_rss_kb() > 0
+        assert bench.peak_rss_kb() > 0
 
     def test_tiny_bench_run(self, monkeypatch, tmp_path):
-        from repro.perf import bench
-
         monkeypatch.setattr(
             bench,
-            "_sweep_points",
-            lambda scale: {
+            "scale_grid",
+            lambda kind, scale: {
                 "ns": [10, 20], "ms": [2, 3],
                 "n_fixed": [10], "m_fixed": [2], "reps": [1],
                 "unit_ns": [], "unit_families": [], "unit_k": [],
             },
         )
-        report = bench.run_bench(scale="small", seed=0)
+        report = run_report("bench", "small", 0)
         assert report["schema"] == bench.SCHEMA
         assert len(report["rows"]) == 4
         for row in report["rows"]:
             assert row["speedup"] > 0
             assert row["makespan"] > 0
         out = tmp_path / "BENCH_1.json"
-        write_report(report, out)
+        bench.write_report(report, out)
         assert json.loads(out.read_text())["summary"] == report["summary"]
 
     def test_tiny_unit_series(self, monkeypatch):
-        from repro.perf import bench
         from repro.workloads import bimodal_fractions, uniform_fractions
 
         monkeypatch.setattr(
             bench,
-            "_sweep_points",
-            lambda scale: {
+            "scale_grid",
+            lambda kind, scale: {
                 "ns": [10, 20], "ms": [], "n_fixed": [10], "m_fixed": [2],
                 "reps": [1], "unit_ns": [200, 400],
                 "unit_families": ["uniform", "bimodal"], "unit_k": [4],
             },
         )
-        report = bench.run_bench(scale="small", seed=0)
+        report = run_report("bench", "small", 0)
         unit = [r for r in report["rows"] if r["sweep"] == "unit"]
         assert [(r["family"], r["n"]) for r in unit] == [
             ("uniform", 200), ("uniform", 400),
@@ -293,24 +290,23 @@ class TestBenchHarness:
         assert set(exponents) == {"uniform", "bimodal"}
 
     def test_tiny_task_series(self, monkeypatch):
-        from repro.perf import bench_srt
         from repro.tasks import TaskInstance, solve_srt
 
         monkeypatch.setattr(
-            bench_srt,
-            "_sweep_points",
-            lambda scale: {
+            bench,
+            "scale_grid",
+            lambda kind, scale: {
                 "ks": [4, 6], "ms": [], "k_fixed": [4], "m_fixed": [4],
                 "reps": [1], "task_ns": [30, 60], "task_k": [3],
                 "task_m": [4],
             },
         )
-        report = bench_srt.run_bench_srt(scale="small", seed=0)
+        report = run_report("bench-srt", "small", 0)
         tasks = [r for r in report["rows"] if r["sweep"] == "tasks"]
         assert [(r["k"], r["n"], r["n_jobs"]) for r in tasks] == [
             (3, 30, 90), (3, 60, 180),
         ]
-        spec = bench_srt.bench_srt_spec(scale="small", seed=0)
+        spec = bench.bench_srt_spec(scale="small", seed=0)
         for row, point in zip(tasks, spec.points[2:]):
             rng = random.Random(point.params["seed"])
             ti = TaskInstance.create(row["m"], [

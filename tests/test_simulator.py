@@ -61,7 +61,7 @@ class TestEngine:
         assert res.completion_times == opt.completion_times
         assert share_vectors(res.schedule) == step_exact_shares(inst)
 
-    @given(inst=srj_instances(min_m=2, max_m=6, max_n=8))
+    @given(inst=srj_instances(min_m=1, max_m=6, max_n=8))
     @settings(max_examples=40, deadline=None)
     def test_property_engine_equals_scheduler(self, inst):
         res = SimulationEngine(inst, SlidingWindowPolicy()).run()

@@ -323,7 +323,7 @@ class TestGridsAndMigrations:
         every deterministic field)."""
         from pathlib import Path
 
-        from repro.perf import bench
+        from repro.sweep.registry import run_report
 
         artifact = Path(__file__).resolve().parent.parent / "BENCH_1.json"
         if not artifact.exists():
@@ -331,21 +331,22 @@ class TestGridsAndMigrations:
         recorded = json.loads(artifact.read_text())
         if (recorded["scale"], recorded["seed"]) != ("small", 0):
             pytest.skip("artifact not at the reference scale/seed")
-        report = bench.run_bench(scale="small", seed=0, reps=1)
+        report = run_report("bench", "small", 0, reps=1)
         for new, old in zip(report["rows"], recorded["rows"]):
             for field in ("sweep", "m", "n", "makespan"):
                 assert new[field] == old[field]
 
     def test_bench_rows_report_median_and_mean(self, monkeypatch):
         from repro.perf import bench
+        from repro.sweep.registry import run_report
 
         monkeypatch.setattr(
-            bench, "_sweep_points",
-            lambda scale: {"ns": [10, 20], "ms": [2], "n_fixed": [10],
-                           "m_fixed": [2], "reps": [3], "unit_ns": [],
-                           "unit_families": [], "unit_k": []},
+            bench, "scale_grid",
+            lambda kind, scale: {"ns": [10, 20], "ms": [2], "n_fixed": [10],
+                                 "m_fixed": [2], "reps": [3], "unit_ns": [],
+                                 "unit_families": [], "unit_k": []},
         )
-        report = bench.run_bench(scale="small", seed=0)
+        report = run_report("bench", "small", 0)
         for row in report["rows"]:
             assert set(
                 ("fraction_s", "int_s", "fraction_mean_s", "int_mean_s")
