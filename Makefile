@@ -2,7 +2,7 @@
 PYTHON ?= python
 export PYTHONPATH := src
 
-.PHONY: test bench-smoke bench bench-srt bench-obs bench-incremental obs-smoke perf-check lint lint-hotpath faults-smoke sweep-smoke telemetry-smoke serve-smoke faultsweep perf-history check
+.PHONY: test bench-smoke bench bench-srt bench-obs bench-incremental obs-smoke perf-check lint lint-hotpath faults-smoke sweep-smoke telemetry-smoke serve-smoke faultsweep perf-history perfbench-smoke check
 
 test:
 	$(PYTHON) -m pytest -x -q
@@ -96,6 +96,14 @@ serve-smoke:
 # report records cache hit/solved counts like every BENCH artifact)
 faultsweep:
 	$(PYTHON) -m repro sweep run faultsweep --cache-dir .repro-cache/sweeps
+
+# the repository benchmark's answer checks (perfbench/README.md): every
+# workload for one second, each checking its own answers (run.py exits 1 on
+# a wrong one), then the seed-purity tests.  Gates the exit status only,
+# never the numbers.
+perfbench-smoke:
+	$(PYTHON) perfbench/run.py --workload all --seconds 1
+	$(PYTHON) -m pytest perfbench/test_seed.py -q
 
 # ingest the current BENCH artifacts into the durable perf time-series
 # and gate them against the rolling baseline (docs/OBSERVABILITY.md)

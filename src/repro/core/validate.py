@@ -1,26 +1,23 @@
-"""Full feasibility validation of SRJ schedules against the model rules.
+"""Feasibility validation against the model rules (Section 1.1).
 
-The validator re-checks, from first principles (Section 1.1 of the paper):
+One routine, :meth:`_Ledger.walk`, checks the per-step rules for every
+validator: a step's shares sum to at most its capacity; at most one job
+runs per online processor and none on an offline one; every share lies
+in ``[0, r_j]`` (the model would silently waste an excess; our schedulers
+never emit one); no job is processed after it finished.  It walks runs of
+identical steps and converts each share once to an integer at the LCM of
+every denominator it meets, which is exact for any rational input.  A run
+of ``c`` steps is checked once, adds ``c·share`` to each job's delivered
+amount, finds a finishing step inside the run by ceiling division and
+reports a violation once, at the first step it holds.  Its ledger keeps
+O(1) per job, so memory is O(n + m) at any makespan.
 
-* the resource is never overused: ``Σ_i R_i(t) ≤ 1`` for every step;
-* at most ``m`` jobs run per step, on pairwise distinct processors;
-* no job receives more than ``r_j`` in a step (shares beyond ``r_j`` would
-  be silently wasted by the model; our schedulers never emit them);
-* non-preemption: each job's active steps form one contiguous interval;
-* no migration: each job uses a single processor throughout;
-* completion: every job accumulates its full ``s_j``;
-* no processing beyond completion.
-
-Two entry points share one *streaming* core (memory bounded by ``O(n + m)``,
-independent of the makespan):
-
-* :func:`validate_schedule` checks a materialized
-  :class:`~repro.core.schedule.Schedule`;
-* :func:`validate_result` checks an :class:`~repro.core.scheduler.SRJResult`
-  directly via :meth:`~repro.core.scheduler.SRJResult.iter_steps`, so
-  million-step schedules never need to be expanded.
-
-:func:`assert_valid` / :func:`assert_result_valid` raise
+Each validator applies its own model's end rules to the ledger.
+:func:`validate_schedule` and :func:`validate_result` (an
+:class:`~repro.core.scheduler.SRJResult`'s trace, never expanded into
+steps) check non-preemption, no migration and full delivery of ``s_j``;
+:func:`validate_result` also checks the recorded completion times and
+makespan.  :func:`assert_valid` / :func:`assert_result_valid` raise
 ``ScheduleError`` with all violations listed.
 
 :func:`window_violations` checks the other half of the algorithm's
@@ -46,18 +43,11 @@ eligible unfinished job ids (``J(t-1)`` by default).
 
 from __future__ import annotations
 
+import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import (
-    TYPE_CHECKING,
-    Dict,
-    Iterable,
-    List,
-    Optional,
-    Sequence,
-    Tuple,
-)
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence
 
 from .instance import Instance
 from .schedule import Schedule
@@ -83,112 +73,170 @@ class ValidationReport:
         return self.ok
 
 
-def _validate_steps(
-    inst: Instance,
-    steps: Iterable[Iterable[Tuple[int, int, Fraction]]],
-    budget: Fraction,
-    require_all_finished: bool,
-) -> ValidationReport:
-    """Streaming validation core.
+class _Job:
+    """A job's ledger entry, amounts at the ledger's scale: ``req`` r_j,
+    ``need`` s_j, ``got`` the amount delivered (each step's share capped
+    at r_j); ``first``/``last`` active step (0 before it runs) and
+    ``active`` the number of active steps; ``owner`` its first processor
+    and ``moved`` ``(owner, other)`` once it migrates; ``finish`` the step
+    ``got`` reached ``need``; ``idle`` its first zero-share step."""
 
-    *steps* yields, per time step, the ``(job_id, processor, share)``
-    triples executed in that step.  Per-job state is O(1): received volume,
-    finish step, the active interval ``[first, last]`` with a step counter
-    (contiguity ⇔ ``count == last - first + 1``), and the owning processor.
+    __slots__ = ("req", "need", "got", "first", "last", "active",
+                 "owner", "moved", "finish", "idle")
+
+    def __init__(self, req: int, size: int) -> None:
+        self.req, self.need = req, size * req
+        self.got = self.first = self.last = self.active = 0
+        self.owner = self.moved = self.finish = self.idle = None
+
+    def preempted(self) -> Optional[str]:
+        """Why the active steps are not one interval, or None."""
+        if not self.active or self.active == self.last - self.first + 1:
+            return None
+        return (f"preempted (active in steps {self.first}..{self.last} "
+                f"but only {self.active} of them)")
+
+
+class _Ledger:
+    """The model rules' one routine (:meth:`walk`) and its per-job ledger.
+
+    *jobs* yields ``(key, r_j, p_j)`` with ``s_j = p_j·r_j``.  Amounts are
+    integers at :attr:`scale`, the LCM of every denominator met so far;
+    violations are appended to *violations*.
     """
-    violations: List[str] = []
 
-    received: Dict[int, Fraction] = {j.id: Fraction(0) for j in inst.jobs}
-    finished_at: Dict[int, int] = {}
-    # per job: [first_active, last_active, n_active] (1-indexed steps)
-    interval: Dict[int, List[int]] = {}
-    # per job: owning processor, or -1 once more than one was seen
-    owner: Dict[int, int] = {}
+    def __init__(self, jobs, violations: List[str]) -> None:
+        ratios = [(key, r.as_integer_ratio(), p) for key, r, p in jobs]
+        self.scale = math.lcm(*(den for _key, (_num, den), _p in ratios))
+        self.jobs = {key: _Job(num * (self.scale // den), p)
+                     for key, (num, den), p in ratios}
+        self.violations = violations
+        self.t = 0  # steps walked; the next run starts at step t + 1
+        self._factor: Dict[int, int] = {}  # denominator -> scale // it
 
-    t = 0
-    for t, step in enumerate(steps, start=1):
-        total = Fraction(0)
-        procs_this_step = set()
-        jobs_this_step = set()
-        for jid, proc, share in step:
-            if jid not in received:
-                violations.append(f"step {t}: unknown job id {jid}")
+    def value(self, amount: int) -> Fraction:
+        return Fraction(amount, self.scale)
+
+    def _admit(self, den: int) -> int:
+        """Make *den* divide the scale, rescaling every amount; return the
+        factor the scale grew by."""
+        grow = den // math.gcd(self.scale, den)
+        if grow > 1:
+            self.scale *= grow
+            for job in self.jobs.values():
+                job.req, job.need, job.got = (
+                    job.req * grow, job.need * grow, job.got * grow)
+            self._factor.clear()
+        self._factor[den] = self.scale // den
+        return grow
+
+    def walk(self, runs, capacity, online, where: str = "step {t}") -> None:
+        """Check the per-step rules on *runs* and book them in the ledger.
+
+        Each run is ``(shares, processors, count)``: job -> share, job ->
+        processor (None where the model assigns none) and its number of
+        identical steps; the runs follow step :attr:`t`.  A step's shares
+        sum to at most *capacity*; *online* holds the processors a job may
+        run on and bounds the jobs per step.  *where* formats a
+        violation's place from its step ``t`` and run index ``i``.
+        """
+        jobs, factor, violations = self.jobs, self._factor, self.violations
+        num, den = capacity.as_integer_ratio()
+        if den not in factor:
+            self._admit(den)
+        cap, slots, t = num * factor[den], len(online), self.t
+
+        def bad(step: int, what: str) -> None:
+            violations.append(f"{where.format(t=step, i=i)}: {what}")
+
+        for i, (shares, procs, count) in enumerate(runs):
+            start = t + 1
+            if count < 1:
+                bad(start, f"run of {count} steps")
                 continue
-            if jid in jobs_this_step:
-                violations.append(f"step {t}: job {jid} scheduled twice")
-            jobs_this_step.add(jid)
-            if proc in procs_this_step:
-                violations.append(
-                    f"step {t}: processor {proc} runs two jobs"
-                )
-            procs_this_step.add(proc)
-            if proc >= inst.m:
-                violations.append(
-                    f"step {t}: processor {proc} out of range "
-                    f"(m={inst.m})"
-                )
-            r = inst.requirement(jid)
-            if share > r:
-                violations.append(
-                    f"step {t}: job {jid} share {share} exceeds r_j={r}"
-                )
-            if share < 0:
-                violations.append(f"step {t}: job {jid} negative share")
-            if jid in finished_at:
-                violations.append(
-                    f"step {t}: job {jid} processed after finishing at "
-                    f"step {finished_at[jid]}"
-                )
-            total += share
-            iv = interval.get(jid)
-            if iv is None:
-                interval[jid] = [t, t, 1]
-            else:
-                iv[1] = t
-                iv[2] += 1
-            prev = owner.get(jid)
-            if prev is None:
-                owner[jid] = proc
-            elif prev != proc and prev != -1:
-                owner[jid] = -1
-                violations.append(
-                    f"job {jid}: migrated across processors "
-                    f"{sorted({prev, proc})}"
-                )
-            received[jid] += min(share, r)
-            if (
-                jid not in finished_at
-                and received[jid] >= inst.total_requirement(jid)
-            ):
-                finished_at[jid] = t
-        if len(jobs_this_step) > inst.m:
-            violations.append(
-                f"step {t}: {len(jobs_this_step)} jobs exceed m={inst.m}"
-            )
-        if total > budget:
-            violations.append(
-                f"step {t}: resource overused ({total} > {budget})"
-            )
+            t += count
+            total = 0
+            seen = set()
+            for j, share in shares.items():
+                job = jobs.get(j)
+                if job is None:
+                    bad(start, f"unknown job id {j}")
+                    continue
+                num, den = share.as_integer_ratio()
+                q = factor.get(den)
+                if q is None:
+                    grow = self._admit(den)
+                    total, cap, q = total * grow, cap * grow, factor[den]
+                v = num * q
+                total += v
+                if procs is not None:
+                    p = procs.get(j)
+                    if p not in online:
+                        bad(start, f"job {j} on offline processor {p}, out "
+                            f"of range of the {slots} online processors")
+                    if p in seen:
+                        bad(start, f"processor {p} runs two jobs")
+                    seen.add(p)
+                    if p != job.owner:
+                        if job.owner is None:
+                            job.owner = p
+                        elif job.moved is None:
+                            job.moved = (job.owner, p)
+                if job.finish is not None:
+                    bad(start, f"job {j} processed after finishing at step "
+                        f"{job.finish}")
+                if not job.first:
+                    job.first = start
+                job.last = t
+                job.active += count
+                if v > job.req:
+                    bad(start, f"job {j} share {share} exceeds requirement "
+                        f"r_j={self.value(job.req)}")
+                    v = job.req
+                elif v <= 0:
+                    if v < 0:
+                        bad(start, f"job {j} negative share {share}")
+                    elif job.idle is None:
+                        job.idle = start
+                    continue
+                got = job.got + count * v
+                if job.finish is None and got >= job.need:
+                    steps = -((job.got - job.need) // v)  # ⌈(s_j - got)/v⌉
+                    job.finish = start + steps - 1
+                    if steps < count:
+                        bad(job.finish + 1, f"job {j} processed after "
+                            f"finishing at step {job.finish}")
+                job.got = got
+            if total > cap:
+                bad(start, f"resource overused ({self.value(total)} > "
+                    f"{capacity})")
+            if len(shares) > slots:
+                bad(start, f"{len(shares)} jobs exceed m={slots} processors")
+        self.t = t
 
-    for job in inst.jobs:
-        iv = interval.get(job.id)
-        if iv is not None:
-            first, last, count = iv
-            if count != last - first + 1:
-                violations.append(
-                    f"job {job.id}: preempted (active in steps "
-                    f"{first}..{last} but only {count} of them)"
-                )
-        if require_all_finished:
-            if received[job.id] < job.total_requirement:
-                violations.append(
-                    f"job {job.id}: unfinished "
-                    f"({received[job.id]} / {job.total_requirement})"
-                )
 
-    return ValidationReport(
-        ok=not violations, violations=violations, makespan=t
+def _srj_ledger(instance: Instance, violations: List[str]) -> _Ledger:
+    return _Ledger(
+        ((job.id, job.requirement, job.size) for job in instance.jobs),
+        violations,
     )
+
+
+def _srj_end_rules(ledger: _Ledger, require_all_finished: bool) -> None:
+    """Non-preemption, no migration and (optionally) full delivery."""
+    for key, job in ledger.jobs.items():
+        gap = job.preempted()
+        if gap is not None:
+            ledger.violations.append(f"job {key}: {gap}")
+        if job.moved is not None:
+            ledger.violations.append(
+                f"job {key}: migrated across processors {sorted(job.moved)}"
+            )
+        if require_all_finished and job.finish is None:
+            ledger.violations.append(
+                f"job {key}: unfinished ({ledger.value(job.got)} / "
+                f"{ledger.value(job.need)})"
+            )
 
 
 def validate_schedule(
@@ -197,15 +245,21 @@ def validate_schedule(
     require_all_finished: bool = True,
 ) -> ValidationReport:
     """Check *schedule* against every model rule; collect all violations."""
-    return _validate_steps(
-        schedule.instance,
-        (
-            [(p.job_id, p.processor, p.share) for p in step.pieces]
-            for step in schedule.steps
-        ),
-        budget,
-        require_all_finished,
-    )
+    violations: List[str] = []
+
+    def runs():
+        for t, step in enumerate(schedule.steps, start=1):
+            shares = {p.job_id: p.share for p in step.pieces}
+            if len(shares) < len(step.pieces):
+                ids = [p.job_id for p in step.pieces]
+                for jid in sorted({j for j in ids if ids.count(j) > 1}):
+                    violations.append(f"step {t}: job {jid} scheduled twice")
+            yield shares, {p.job_id: p.processor for p in step.pieces}, 1
+
+    ledger = _srj_ledger(schedule.instance, violations)
+    ledger.walk(runs(), budget, frozenset(range(schedule.instance.m)))
+    _srj_end_rules(ledger, require_all_finished)
+    return ValidationReport(not violations, violations, ledger.t)
 
 
 def validate_result(
@@ -216,23 +270,38 @@ def validate_result(
 ) -> ValidationReport:
     """Check a scheduler result without materializing its schedule.
 
-    Streams the RLE trace via
-    :meth:`~repro.core.scheduler.SRJResult.iter_steps`, so memory stays
-    bounded regardless of the makespan (million-step schedules validate in
-    O(n + m) space).  *observer* (a :class:`repro.obs.Observer`) receives
-    a ``validate`` timing span covering the whole check.
+    Walks the run-length-encoded trace run by run: O(runs · jobs per run)
+    time and O(n + m) memory, whatever the makespan.  Each recorded
+    completion time must be the step its job finishes in the trace (jobs
+    a ``step_limit`` left unfinished have none), and the makespan the
+    trace's step count.  *observer* (a :class:`repro.obs.Observer`)
+    receives a ``validate`` timing span covering the whole check.
     """
     from ..obs import span
 
     with span(observer, "validate"):
-        return _validate_steps(
-            result.instance,
-            (
-                [(jid, proc, share) for jid, (proc, share) in step.items()]
-                for step in result.iter_steps()
-            ),
-            budget,
-            require_all_finished,
+        violations: List[str] = []
+        ledger = _srj_ledger(result.instance, violations)
+        ledger.walk(((run.shares, run.processors, run.count)
+                     for run in result.trace), budget,
+                    frozenset(range(result.instance.m)))
+        _srj_end_rules(ledger, require_all_finished)
+        for key, job in ledger.jobs.items():
+            recorded = result.completion_times.get(key)
+            if recorded != job.finish:
+                violations.append(f"job {key}: recorded completion "
+                                  f"{recorded} != finish step {job.finish}")
+        if result.makespan != ledger.t:
+            violations.append(f"makespan {result.makespan} != {ledger.t} "
+                              "steps in the trace")
+        return ValidationReport(not violations, violations, ledger.t)
+
+
+def _raise_on(report: ValidationReport) -> None:
+    if not report.ok:
+        raise ScheduleError(
+            f"{len(report.violations)} violation(s):\n  "
+            + "\n  ".join(report.violations)
         )
 
 
@@ -242,12 +311,7 @@ def assert_valid(
     require_all_finished: bool = True,
 ) -> None:
     """Raise :class:`ScheduleError` listing every violation, if any."""
-    report = validate_schedule(schedule, budget, require_all_finished)
-    if not report.ok:
-        raise ScheduleError(
-            f"{len(report.violations)} violation(s):\n  "
-            + "\n  ".join(report.violations)
-        )
+    _raise_on(validate_schedule(schedule, budget, require_all_finished))
 
 
 def assert_result_valid(
@@ -256,12 +320,7 @@ def assert_result_valid(
     require_all_finished: bool = True,
 ) -> None:
     """Streaming variant of :func:`assert_valid` for scheduler results."""
-    report = validate_result(result, budget, require_all_finished)
-    if not report.ok:
-        raise ScheduleError(
-            f"{len(report.violations)} violation(s):\n  "
-            + "\n  ".join(report.violations)
-        )
+    _raise_on(validate_result(result, budget, require_all_finished))
 
 
 # ---------------------------------------------------------------------------

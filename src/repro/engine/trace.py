@@ -3,8 +3,9 @@
 Every scheduler layer that runs through the engine emits its history in
 this one format: a list of :class:`TraceRun` objects (each a run of
 ``count`` identical time steps), wrapped in an :class:`SRJResult`.
-Validators and analysis code consume it either streamed
-(:meth:`SRJResult.iter_steps`) or materialized
+Validators walk the runs themselves
+(:func:`repro.core.validate.validate_result`); analysis code consumes
+the trace streamed (:meth:`SRJResult.iter_steps`) or materialized
 (:meth:`SRJResult.schedule`).
 
 Historically these classes lived in ``repro.core.scheduler``; that module
@@ -62,9 +63,9 @@ class SRJResult:
         identical steps the *same* mapping object is yielded ``k`` times;
         treat it as read-only (copy if you need to keep it).
 
-        This is what validators should consume for large instances, where
-        :meth:`schedule` would materialize millions of :class:`Step`
-        objects (see :func:`repro.core.validate.validate_result`).
+        For consumers that need single steps (Gantt charts, metrics).
+        Validators do not read it: :func:`repro.core.validate.validate_result`
+        checks each run once instead of each of its steps.
         """
         for run in self.trace:
             step = {

@@ -37,10 +37,9 @@ from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from ..core.instance import Instance
-from ..core.validate import ValidationReport
+from ..core.validate import ValidationReport, _srj_ledger
 from ..engine.api import solve_srj
 from ..engine.trace import SRJResult, TraceRun
-from ..numeric import frac_sum
 from ..obs import setup_observer
 from .model import FaultEvent, FaultPlan
 from .snapshot import Checkpoint
@@ -329,21 +328,17 @@ def run_with_faults(
                 )
                 for run in res.trace
             ]
-            delivered: Dict[int, Fraction] = {}
-            for run in res.trace:
-                for cid, share in run.shares.items():
-                    oj = keymap[cid]
-                    delivered[oj] = (
-                        delivered.get(oj, Fraction(0)) + share * run.count
-                    )
-            for oj, vol in delivered.items():
-                rem = residual[oj] - vol
-                if rem < 0:
+            # the segment's deliveries, totalled by the model rules' walk
+            spent = _srj_ledger(sub, [])
+            spent.walk(((run.shares, None, run.count) for run in res.trace),
+                       capacity[0], range(m_eff))
+            for cid, job in spent.jobs.items():
+                if job.got > job.need:
                     raise AssertionError(
-                        f"segment over-delivered {vol - residual[oj]} "
-                        f"to job {oj}"
+                        f"segment over-delivered "
+                        f"{spent.value(job.got - job.need)} to job {keymap[cid]}"
                     )
-                residual[oj] = rem
+                residual[keymap[cid]] -= spent.value(job.got)
             for cid, ct in res.completion_times.items():
                 completed[keymap[cid]] = t + ct
             segments.append(
@@ -426,19 +421,16 @@ def recover(
 def validate_faulted(result: FaultedResult) -> ValidationReport:
     """Audit a :class:`FaultedResult` against the degraded model rules.
 
-    Checks, per segment run: exact capacity compliance, concurrency at
-    most the online processor count, distinct online processors, shares
-    within ``[0, r_j]``; across segments: contiguous coverage of
-    ``[0, makespan)``, total delivery ``s_j`` for every non-aborted job
-    (at most ``s_j`` for aborted ones), and completion times consistent
-    with the trace.  Works on the RLE runs directly, so cost is
-    O(runs · jobs-per-run), independent of the makespan.
+    The segments must cover ``[0, makespan)`` back to back, each with runs
+    summing to its length.  Each segment's runs go through the model
+    rules' one routine (:mod:`repro.core.validate`) under the segment's
+    capacity and online processors.  Every non-aborted job must receive
+    exactly ``s_j`` and carry a completion time equal to the step it
+    finished in; an aborted one receives at most ``s_j``.  Migration and
+    preemption across segments are allowed: a crash can force them.
     """
-    inst = result.instance
     violations: List[str] = []
-    delivered: Dict[int, Fraction] = {
-        job.id: Fraction(0) for job in inst.jobs
-    }
+    ledger = _srj_ledger(result.instance, violations)
     cursor = 0
     for si, seg in enumerate(result.segments):
         if seg.start != cursor:
@@ -448,64 +440,38 @@ def validate_faulted(result: FaultedResult) -> ValidationReport:
         if seg.length < 0:
             violations.append(f"segment {si} has negative length")
         cursor = seg.start + seg.length
-        online = set(seg.processors)
-        run_steps = sum(run.count for run in seg.runs)
-        if seg.runs and run_steps != seg.length:
-            violations.append(
-                f"segment {si} covers {run_steps} steps, length {seg.length}"
-            )
-        for ri, run in enumerate(seg.runs):
-            total = frac_sum(run.shares.values())
-            if total > seg.capacity:
-                violations.append(
-                    f"segment {si} run {ri}: resource overuse "
-                    f"{total} > {seg.capacity}"
-                )
-            if len(run.shares) > len(online):
-                violations.append(
-                    f"segment {si} run {ri}: {len(run.shares)} concurrent "
-                    f"jobs on {len(online)} online processors"
-                )
-            procs = [run.processors.get(j) for j in run.shares]
-            if len(set(procs)) != len(procs):
-                violations.append(
-                    f"segment {si} run {ri}: duplicate processor assignment"
-                )
-            for j, share in run.shares.items():
-                if share < 0:
-                    violations.append(
-                        f"segment {si} run {ri}: negative share for job {j}"
-                    )
-                if share > inst.requirement(j):
-                    violations.append(
-                        f"segment {si} run {ri}: job {j} share {share} "
-                        f"exceeds requirement {inst.requirement(j)}"
-                    )
-                if run.processors.get(j) not in online:
-                    violations.append(
-                        f"segment {si} run {ri}: job {j} on offline "
-                        f"processor {run.processors.get(j)}"
-                    )
-                delivered[j] = delivered[j] + share * run.count
+        ledger.t = seg.start
+        ledger.walk(
+            ((run.shares, run.processors, run.count) for run in seg.runs),
+            seg.capacity,
+            frozenset(seg.processors),
+            f"step {{t}} in segment {si} run {{i}}",
+        )
+        if seg.runs and ledger.t != cursor:
+            violations.append(f"segment {si} covers {ledger.t - seg.start} "
+                              f"steps, length {seg.length}")
     if cursor != result.makespan:
         violations.append(
             f"segments cover [0, {cursor}), makespan is {result.makespan}"
         )
-    for job in inst.jobs:
-        need = job.total_requirement
-        got = delivered[job.id]
-        if job.id in result.aborted:
+    for key, job in ledger.jobs.items():
+        got, need = ledger.value(job.got), ledger.value(job.need)
+        if key in result.aborted:
             if got > need:
                 violations.append(
-                    f"aborted job {job.id} over-delivered: {got} > {need}"
+                    f"aborted job {key} over-delivered: {got} > {need}"
                 )
             continue
         if got != need:
+            violations.append(f"job {key} delivered {got}, needs {need}")
+        recorded = result.completion_times.get(key)
+        if recorded is None:
+            violations.append(f"job {key} has no completion time")
+        elif recorded != job.finish:
             violations.append(
-                f"job {job.id} delivered {got}, needs {need}"
+                f"job {key}: recorded completion {recorded} != finish "
+                f"step {job.finish}"
             )
-        if job.id not in result.completion_times:
-            violations.append(f"job {job.id} has no completion time")
     return ValidationReport(
         ok=not violations,
         violations=violations,

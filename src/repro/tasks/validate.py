@@ -1,15 +1,15 @@
 """Feasibility validation for SRT schedules (the Section-4 algorithms).
 
 The combined Theorem 4.8 scheduler runs the heavy and light halves on
-disjoint processor sets with resource allotments summing to at most 1; the
-validator re-checks the *merged* execution against the machine model:
-
-* per step, combined resource over both halves ≤ 1 and combined running
-  jobs ≤ m;
-* per half, its own allotment (processors and resource) is respected;
-* every job receives exactly its requirement, within one contiguous run of
-  steps (non-preemption);
-* recorded task completion times match the steps.
+disjoint processor sets with resource allotments summing to at most 1.
+Their recorded steps go, one step per run, through the model rules' one
+routine (:mod:`repro.core.validate`), which sums every step from its
+shares: each half within its own allotment (processors and resource), the
+merged steps within ``m`` processors and resource 1.  The SRT end rules
+follow: no zero shares, every job receives exactly its requirement within
+one contiguous run of steps (non-preemption), and every recorded task
+completion time (per half and merged) is the step the task's last job
+finishes in.
 
 Requires the scheduler to have been run with ``record_steps=True``.
 """
@@ -17,55 +17,11 @@ Requires the scheduler to have been run with ``record_steps=True``.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Dict, List, Optional, Tuple
+from typing import List, Mapping
 
-from ..numeric import frac_sum
+from ..core.validate import _Ledger
 from .model import TaskInstance, TaskScheduleResult
 from .partition import heavy_allotment, light_allotment
-from .sequential import SequentialResult
-
-
-def _check_half(
-    label: str,
-    result: SequentialResult,
-    m_alloc: int,
-    budget: Fraction,
-    violations: List[str],
-) -> None:
-    delivered: Dict[Tuple[int, int], Fraction] = {}
-    active: Dict[Tuple[int, int], List[int]] = {}
-    for t, step in enumerate(result.steps, start=1):
-        if step.resource_used > budget:
-            violations.append(
-                f"{label} step {t}: resource {step.resource_used} > "
-                f"allotment {budget}"
-            )
-        if step.processors_used > m_alloc:
-            violations.append(
-                f"{label} step {t}: {step.processors_used} jobs > "
-                f"{m_alloc} processors"
-            )
-        for key, share in step.shares.items():
-            if share <= 0:
-                violations.append(f"{label} step {t}: non-positive share")
-            delivered[key] = delivered.get(key, Fraction(0)) + share
-            active.setdefault(key, []).append(t)
-    for key, steps in active.items():
-        if steps != list(range(steps[0], steps[-1] + 1)):
-            violations.append(f"{label} job {key}: preempted ({steps})")
-    # completion-time consistency
-    last_step_of_task: Dict[int, int] = {}
-    for (task_id, _idx), steps in active.items():
-        last_step_of_task[task_id] = max(
-            last_step_of_task.get(task_id, 0), steps[-1]
-        )
-    for task_id, recorded in result.completion_times.items():
-        actual = last_step_of_task.get(task_id)
-        if actual is not None and actual != recorded:
-            violations.append(
-                f"{label} task {task_id}: recorded completion {recorded} "
-                f"!= last active step {actual}"
-            )
 
 
 def validate_task_schedule(
@@ -76,53 +32,66 @@ def validate_task_schedule(
     Needs ``schedule_tasks(instance, record_steps=True)`` output (the
     half-results are attached as ``heavy_result`` / ``light_result``).
     """
-    violations: List[str] = []
-    heavy: Optional[SequentialResult] = getattr(
-        result, "heavy_result", None
-    )
-    light: Optional[SequentialResult] = getattr(
-        result, "light_result", None
-    )
-    if heavy is None and light is None:
+    halves = [
+        (label, half, allotment(instance.m))
+        for label, half, allotment in (
+            ("heavy", getattr(result, "heavy_result", None), heavy_allotment),
+            ("light", getattr(result, "light_result", None), light_allotment),
+        )
+        if half is not None
+    ]
+    if not halves:
         if result.algorithm == "srt-fallback-sequential":
             return ["fallback runs carry no recorded halves to validate"]
         return ["no recorded steps; run schedule_tasks(record_steps=True)"]
-    m = instance.m
-    m1, r1 = heavy_allotment(m)
-    m2, r2 = light_allotment(m)
-    if heavy is not None:
-        _check_half("heavy", heavy, m1, r1, violations)
-    if light is not None:
-        _check_half("light", light, m2, r2, violations)
-    # merged machine constraints
-    horizon = max(
-        heavy.makespan if heavy else 0, light.makespan if light else 0
-    )
-    for t in range(1, horizon + 1):
-        used = Fraction(0)
-        jobs = 0
-        for half in (heavy, light):
-            if half is not None and t <= len(half.steps):
-                step = half.steps[t - 1]
-                used += step.resource_used
-                jobs += step.processors_used
-        if used > 1:
-            violations.append(f"merged step {t}: resource {used} > 1")
-        if jobs > m:
-            violations.append(f"merged step {t}: {jobs} jobs > m={m}")
-    # coverage: every job of every task delivered exactly its requirement
-    delivered: Dict[Tuple[int, int], Fraction] = {}
-    for half in (heavy, light):
-        if half is None:
-            continue
-        for step in half.steps:
-            for key, share in step.shares.items():
-                delivered[key] = delivered.get(key, Fraction(0)) + share
-    for task in instance.tasks:
-        for idx, r in enumerate(task.requirements):
-            got = delivered.get((task.id, idx), Fraction(0))
-            if got != r:
+    violations: List[str] = []
+    jobs = [((task.id, idx), r, 1) for task in instance.tasks
+            for idx, r in enumerate(task.requirements)]
+
+    def completions(label: str, recorded: Mapping, ledger: _Ledger) -> None:
+        for task in instance.tasks:
+            if task.id in recorded:
+                steps = [ledger.jobs[(task.id, idx)].finish
+                         for idx in range(task.n_jobs)]
+                actual = None if None in steps else max(steps)
+                if recorded[task.id] != actual:
+                    violations.append(
+                        f"{label}task {task.id}: recorded completion "
+                        f"{recorded[task.id]} != last finish step {actual}"
+                    )
+
+    for label, half, (m_alloc, budget) in halves:
+        ledger = _Ledger(jobs, violations)
+        ledger.walk(
+            ((step.shares, None, 1) for step in half.steps),
+            budget, range(m_alloc), f"{label} step {{t}}",
+        )
+        for key, job in ledger.jobs.items():
+            gap = job.preempted()
+            if gap is not None:
+                violations.append(f"{label} job {key}: {gap}")
+            if job.idle is not None:
                 violations.append(
-                    f"task {task.id} job {idx}: delivered {got} of {r}"
+                    f"{label} step {job.idle}: job {key} non-positive share"
                 )
+        completions(f"{label} ", half.completion_times, ledger)
+
+    def merged_steps():
+        for t in range(max(len(half.steps) for _label, half, _a in halves)):
+            shares = {}
+            for _label, half, _allotment in halves:
+                if t < len(half.steps):
+                    shares.update(half.steps[t].shares)
+            yield shares, None, 1
+
+    merged = _Ledger(jobs, violations)
+    merged.walk(merged_steps(), Fraction(1), range(instance.m),
+                "merged step {t}")
+    for (task_id, idx), r, _size in jobs:
+        got = merged.value(merged.jobs[(task_id, idx)].got)
+        if got != r:
+            violations.append(
+                f"task {task_id} job {idx}: delivered {got} of {r}"
+            )
+    completions("", result.completion_times, merged)
     return violations

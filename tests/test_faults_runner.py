@@ -179,6 +179,20 @@ class TestSeededDefects:
             v.startswith(f"job {dropped[0]} delivered") for v in violations
         ), violations
 
+    def test_completion_time_shifted(self):
+        shifted = []
+
+        def mutate(res):
+            job = min(res.completion_times)
+            shifted.append((job, res.completion_times[job]))
+            res.completion_times[job] += 3
+
+        violations = self._violations(mutate)
+        job, ct = shifted[0]
+        assert violations == [
+            f"job {job}: recorded completion {ct + 3} != finish step {ct}"
+        ]
+
 
 class TestBackendIdentity:
     def test_fraction_and_int_identical(self):

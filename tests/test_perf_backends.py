@@ -16,12 +16,15 @@ workload families.
 
 import json
 import random
+import re
 import subprocess
 import sys
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.binpacking import (
     cardinality_lower_bound,
@@ -38,6 +41,8 @@ from repro.engine.backends.integer import lcm_denominator
 from repro.perf import auto_workers, bench, parallel_map, seed_for, solve_srj
 from repro.sweep.registry import run_report
 from repro.workloads import FAMILIES, make_instance
+
+from conftest import srj_instances
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 
@@ -147,12 +152,51 @@ class TestIterSteps:
                 p.job_id: (p.processor, p.share) for p in mat.pieces
             }
 
-    def test_validate_result_matches_validate_schedule(self):
+    @given(inst=srj_instances(max_m=6, max_n=10), data=st.data())
+    @settings(max_examples=80, deadline=None)
+    def test_validate_result_matches_validate_schedule(self, inst, data):
+        """The run walk agrees with the same trace walked as runs of one,
+        on valid results and with one seeded defect: a share raised (by
+        an amount whose denominator may be new), a share dropped, two
+        adjacent runs swapped, or a run lengthened by one step."""
         from repro.core.validate import validate_schedule
 
-        inst = CORPUS[2]
-        res = schedule_srj(inst)
-        assert validate_result(res).ok == validate_schedule(res.schedule()).ok
+        res = solve_srj(inst, backend=data.draw(st.sampled_from(
+            ["int", "fraction"])))
+        trace = res.trace
+        i = data.draw(st.integers(0, len(trace) - 1))
+        run = trace[i]
+        job = data.draw(st.sampled_from(sorted(run.shares)))
+        kind = data.draw(st.sampled_from(
+            ["none", "raise", "drop", "swap", "count"]))
+        if kind == "raise":
+            delta = Fraction(data.draw(st.integers(1, 9)),
+                             data.draw(st.integers(1, 13)))
+            run.shares = {**run.shares, job: run.shares[job] + delta}
+        elif kind == "drop":
+            run.shares = {j: s for j, s in run.shares.items() if j != job}
+        elif kind == "swap" and i + 1 < len(trace):
+            trace[i], trace[i + 1] = trace[i + 1], run
+        elif kind == "count":
+            run.count += 1
+        sched = res.schedule()
+        # record what the mutated trace does, so the result's recorded
+        # completion times and makespan agree with its own steps
+        res.makespan = sched.makespan
+        res.completion_times = {
+            j: t for j, t in sched.completion_times().items()
+            if t is not None
+        }
+        by_runs = validate_result(res).violations
+        by_steps = validate_schedule(sched).violations
+
+        def rules(violations):
+            return {re.sub(r"-?\d+(/\d+)?", "#", v) for v in violations}
+
+        assert (not by_runs) == (not by_steps)
+        assert rules(by_runs) == rules(by_steps)
+        # a run reports each violation once, at a step the steps report
+        assert set(by_runs) <= set(by_steps)
 
 
 class TestUnitIntKernel:

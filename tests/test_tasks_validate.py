@@ -1,5 +1,6 @@
 """Tests for the SRT schedule validator (repro.tasks.validate)."""
 
+import random
 from fractions import Fraction
 
 from hypothesis import given, settings
@@ -74,3 +75,18 @@ class TestValidateTaskSchedule:
         assert any(
             "preempted" in v or "delivered" in v for v in violations
         )
+
+    def test_detects_share_moved_past_allotment(self):
+        """Step totals come from the shares, not the recorded
+        ``resource_used`` (left stale here)."""
+        ti = make_taskset("heavy", random.Random(0), 8, 6)
+        res = schedule_tasks(ti, record_steps=True)
+        first, second = res.heavy_result.steps[:2]
+        key = next(iter(second.shares))  # runs in both steps
+        moved = second.shares[key] / 2
+        first.shares[key] += moved
+        second.shares[key] -= moved
+        violations = validate_task_schedule(ti, res)
+        assert violations == [
+            "heavy step 1: resource overused (13/28 > 3/7)"
+        ]
