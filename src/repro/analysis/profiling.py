@@ -11,7 +11,11 @@ Run as a module for the perf regression gate::
 profiles both scheduler backends on a representative instance and fails
 (exit code 1) if the scaled-integer backend spends ≥ 10% of its profiled
 time inside ``fractions.*`` — the whole point of that backend is that
-rational arithmetic is confined to input scaling and trace conversion.
+rational arithmetic is confined to the inputs and to what callers read
+back.  Two end-to-end int paths are gated the same way, each under its
+own limit: Corollary 3.9 packing (``pack_sliding_window`` on 2000
+uniform items, k = m) and a solve from a JSON instance document
+(``solve_srj(instance_from_dict(doc))``, n = 1000).
 """
 
 from __future__ import annotations
@@ -102,14 +106,23 @@ def fraction_time_share(fn: Callable[[], object]) -> float:
     return in_fractions / total if total > 0 else 0.0
 
 
+#: fractions.* limits of the end-to-end int paths (docs/PERFORMANCE.md
+#: has the measurements they were set from)
+PACK_LIMIT = 0.05
+DOCUMENT_LIMIT = 0.15
+
+
 def main(argv: List[str] | None = None) -> int:
-    """Perf gate: the int backend must spend < 10% of its time in
-    ``fractions.*`` (see module docstring)."""
+    """Perf gate: the int backend must spend under each limit of its
+    profiled time in ``fractions.*`` (see module docstring)."""
     import argparse
     import random
+    from fractions import Fraction
 
+    from ..binpacking import make_items, pack_sliding_window
+    from ..io import instance_from_dict, instance_to_dict
     from ..perf import solve_srj
-    from ..workloads import make_instance
+    from ..workloads import make_instance, uniform_fractions
 
     parser = argparse.ArgumentParser(
         description="scheduler backend fractions.* time-share gate"
@@ -119,7 +132,7 @@ def main(argv: List[str] | None = None) -> int:
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument(
         "--limit", type=float, default=0.10,
-        help="max allowed fractions.* share for the int backend",
+        help="max allowed fractions.* share for the int backend's solve",
     )
     args = parser.parse_args(argv)
     inst = make_instance("uniform", random.Random(args.seed), args.m, args.n)
@@ -132,13 +145,32 @@ def main(argv: List[str] | None = None) -> int:
             f"{backend:>8} backend: {shares[backend]:6.1%} of profiled "
             "time in fractions.*"
         )
-    if shares["int"] >= args.limit:
-        print(
-            f"FAIL: int backend spends {shares['int']:.1%} "
-            f">= {args.limit:.0%} in fractions.*"
-        )
+    items = make_items(uniform_fractions(
+        random.Random(args.seed), 2000, hi=Fraction(6, 5)
+    ))
+    doc = instance_to_dict(
+        make_instance("uniform", random.Random(args.seed), args.m, 1000)
+    )
+    gates = [
+        ("solve_srj", shares["int"], args.limit),
+        ("pack_sliding_window", fraction_time_share(
+            lambda: pack_sliding_window(items, args.m, backend="int")
+        ), PACK_LIMIT),
+        ("solve_srj(instance_from_dict)", fraction_time_share(
+            lambda: solve_srj(instance_from_dict(doc), backend="int")
+        ), DOCUMENT_LIMIT),
+    ]
+    for name, share, limit in gates[1:]:
+        print(f"int {name}: {share:6.1%} of profiled time in fractions.* "
+              f"(limit {limit:.0%})")
+    failed = [gate for gate in gates if gate[1] >= gate[2]]
+    for name, share, limit in failed:
+        print(f"FAIL: int {name} spends {share:.1%} >= {limit:.0%} "
+              "in fractions.*")
+    if failed:
         return 1
-    print(f"OK: int backend under the {args.limit:.0%} fractions.* budget")
+    print("OK: int backend under every fractions.* limit "
+          f"({', '.join(f'{limit:.0%}' for _n, _s, limit in gates)})")
     return 0
 
 

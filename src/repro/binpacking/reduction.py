@@ -16,7 +16,8 @@ lower bounds are preemption-proof).
 
 from __future__ import annotations
 
-from typing import Sequence
+from fractions import Fraction
+from typing import Dict, Sequence
 
 from ..core.instance import Instance
 from ..core.scheduler import SRJResult
@@ -41,20 +42,29 @@ def result_to_packing(
     """Convert a unit-size SRJ schedule into a packing (step ``t`` = bin ``t``).
 
     Job ids are mapped back to the original item ids via the instance's
-    ``original_ids``.
+    ``original_ids``.  Each run's parts are built once from its integer
+    shares (zero shares dropped), one Fraction per distinct value, and
+    each of its bins gets its own copy.
     """
     packing = Packing(items=list(items), k=k)
     orig = result.instance.original_ids
+    bins = packing.bins
+    exact: Dict[int, Dict[int, Fraction]] = {}  # scale -> share -> Fraction
     for run in result.trace:
-        for _ in range(run.count):
-            b = Bin()
-            for job_id, share in run.shares.items():
-                if share > 0:
-                    b.add(orig[job_id], share)
-            packing.bins.append(b)
+        scale = run.scale
+        known = exact.setdefault(scale, {})
+        parts = {}
+        for job_id, u in run.units.items():
+            if u > 0:
+                part = known.get(u)
+                if part is None:
+                    part = known[u] = Fraction(u, scale)
+                parts[orig[job_id]] = part
+        bins.append(Bin(parts))
+        bins.extend(Bin(dict(parts)) for _ in range(run.count - 1))
     # trim any empty trailing bins (defensive; the scheduler never emits them)
-    while packing.bins and not packing.bins[-1].parts:
-        packing.bins.pop()
+    while bins and not bins[-1].parts:
+        bins.pop()
     return packing
 
 

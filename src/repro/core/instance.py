@@ -2,20 +2,25 @@
 
 An :class:`Instance` bundles the machine count ``m`` with a job set.  Jobs
 are canonically ordered by non-decreasing resource requirement (the paper
-assumes ``r_1 ≤ r_2 ≤ … ≤ r_n`` w.l.o.g.); :meth:`Instance.canonical`
+assumes ``r_1 ≤ r_2 ≤ … ≤ r_n`` w.l.o.g.); :meth:`Instance.create`
 re-indexes jobs into that order while remembering the original ids so that
 schedules can be mapped back.
+
+Every instance also keeps its requirements in the working form the
+engine runs on: ``L`` (:attr:`Instance.scale`, the LCM of the requirement
+denominators) and the integers ``r_j·L`` (:attr:`Instance.units`).  The
+canonical order is sorted and checked on those integers, and the work
+bound and the engine's scale step read them instead of recomputing.
 """
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from operator import attrgetter
 from typing import Iterable, Optional, Sequence
 
-from ..numeric import Number, to_fraction
+from ..numeric import Number, lcm_scaled, to_fraction
 from .job import Job
 
 
@@ -26,14 +31,24 @@ class Instance:
     The job tuple is stored in canonical order (non-decreasing ``r_j``,
     ties broken by original id) and jobs are re-indexed ``0..n-1``.
     ``original_ids[i]`` gives the id the ``i``-th canonical job had in the
-    caller's numbering.
+    caller's numbering.  :attr:`scale` and :attr:`units` are derived from
+    the jobs (they take no part in equality).
     """
 
     m: int
     jobs: tuple[Job, ...]
     original_ids: tuple[int, ...]
+    #: ``L``, the LCM of the requirement denominators
+    scale: int = field(init=False, repr=False, compare=False)
+    #: ``r_j·L`` per canonical job, non-decreasing
+    units: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
+        self._settle(*lcm_scaled(job.requirement for job in self.jobs))
+
+    def _settle(self, scale: int, units: Sequence[int]) -> None:
+        """Check the canonical form, the order on the integers *units* at
+        *scale*, and keep both."""
         if not isinstance(self.m, int) or self.m < 1:
             raise ValueError(f"m must be a positive int, got {self.m!r}")
         for i, job in enumerate(self.jobs):
@@ -42,17 +57,45 @@ class Instance:
                     "instance jobs must be re-indexed 0..n-1 in canonical "
                     f"order; job at position {i} has id {job.id}"
                 )
-        for i in range(1, len(self.jobs)):
-            if self.jobs[i - 1].requirement > self.jobs[i].requirement:
-                raise ValueError(
-                    "instance jobs must be sorted by non-decreasing r_j"
-                )
+        if any(a > b for a, b in zip(units, units[1:])):
+            raise ValueError(
+                "instance jobs must be sorted by non-decreasing r_j"
+            )
         if len(self.original_ids) != len(self.jobs):
             raise ValueError("original_ids must match number of jobs")
+        object.__setattr__(self, "scale", scale)
+        object.__setattr__(self, "units", tuple(units))
 
     # ------------------------------------------------------------------
     # Construction helpers
     # ------------------------------------------------------------------
+
+    @classmethod
+    def _canonical(
+        cls,
+        m: int,
+        sizes: Sequence[int],
+        reqs: Sequence[Fraction],
+        ids: Optional[Sequence[int]] = None,
+    ) -> "Instance":
+        """The canonical instance of the jobs with size ``sizes[i]``,
+        requirement ``reqs[i]`` and original id ``ids[i]`` (default
+        ``i``): one stable sort on the integer keys ``r_j·L`` (ties keep
+        input order), then each :class:`Job` built once.  The one routine
+        behind every constructor but the direct one."""
+        scale, keys = lcm_scaled(reqs)
+        order = sorted(range(len(keys)), key=keys.__getitem__)
+        instance = cls.__new__(cls)
+        object.__setattr__(instance, "m", m)
+        object.__setattr__(instance, "jobs", tuple(
+            Job(new, sizes[old], reqs[old])
+            for new, old in enumerate(order)
+        ))
+        object.__setattr__(instance, "original_ids", tuple(
+            order if ids is None else [ids[old] for old in order]
+        ))
+        instance._settle(scale, [keys[old] for old in order])
+        return instance
 
     @classmethod
     def create(
@@ -60,33 +103,21 @@ class Instance:
         m: int,
         jobs: Iterable[Job],
     ) -> "Instance":
-        """Build an instance from arbitrary jobs, canonicalizing the order."""
+        """Build an instance from arbitrary jobs, canonicalizing the order
+        (ties in ``r_j`` keep id order)."""
         job_list = list(jobs)
         seen: set[int] = set()
         for job in job_list:
             if job.id in seen:
                 raise ValueError(f"duplicate job id {job.id}")
             seen.add(job.id)
-        # one stable sort on r_j over id-ordered jobs: ties keep id order
         job_list.sort(key=attrgetter("id"))
-        job_list.sort(key=attrgetter("requirement"))
-        reindexed = tuple(job.with_id(i) for i, job in enumerate(job_list))
-        original = tuple(job.id for job in job_list)
-        return cls(m=m, jobs=reindexed, original_ids=original)
-
-    @classmethod
-    def _from_columns(
-        cls, m: int, sizes: Sequence[int], reqs: Sequence[Fraction]
-    ) -> "Instance":
-        """The canonical instance of jobs ``i`` with size ``sizes[i]`` and
-        requirement ``reqs[i]``: one stable sort on the requirement (ties
-        keep input order), then each :class:`Job` built once."""
-        order = sorted(range(len(reqs)), key=reqs.__getitem__)
-        jobs = tuple(
-            Job(id=new, size=sizes[old], requirement=reqs[old])
-            for new, old in enumerate(order)
+        return cls._canonical(
+            m,
+            [job.size for job in job_list],
+            [job.requirement for job in job_list],
+            [job.id for job in job_list],
         )
-        return cls(m=m, jobs=jobs, original_ids=tuple(order))
 
     @classmethod
     def from_requirements(
@@ -104,7 +135,7 @@ class Instance:
             sizes = [1] * len(reqs)
         if len(sizes) != len(reqs):
             raise ValueError("sizes and requirements must have equal length")
-        return cls._from_columns(m, [int(p) for p in sizes], reqs)
+        return cls._canonical(m, [int(p) for p in sizes], reqs)
 
     @classmethod
     def from_real_sizes(
@@ -133,7 +164,7 @@ class Instance:
             p_int = ceil_frac(p)
             p_ints.append(p_int)
             scaled.append(r * p / p_int)
-        return cls._from_columns(m, p_ints, scaled)
+        return cls._canonical(m, p_ints, scaled)
 
     # ------------------------------------------------------------------
     # Accessors
@@ -164,18 +195,12 @@ class Instance:
     def total_work(self) -> Fraction:
         """``Σ_j s_j`` — total resource that must be delivered.
 
-        Summed in integers at ``L``, the LCM of the requirement
-        denominators: ``Σ_j p_j·num(r_j)·(L / den(r_j)) / L``, one
-        Fraction in all instead of one per job.
+        Summed in integers at ``L``: ``Σ_j p_j·(r_j·L) / L``, one Fraction
+        in all instead of one per job.
         """
-        lcm = math.lcm(*(job.requirement.denominator for job in self.jobs))
         return Fraction(
-            sum(
-                job.size * job.requirement.numerator
-                * (lcm // job.requirement.denominator)
-                for job in self.jobs
-            ),
-            lcm,
+            sum(job.size * u for job, u in zip(self.jobs, self.units)),
+            self.scale,
         )
 
     def total_steps_lower(self) -> int:

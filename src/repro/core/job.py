@@ -48,7 +48,7 @@ class Job:
                 f"job size p_j must be a positive int, got {self.size!r}"
             )
         req = to_fraction(self.requirement)
-        if req <= 0:
+        if req.numerator <= 0:  # the denominator is positive
             raise ValueError(f"resource requirement r_j must be > 0, got {req}")
         object.__setattr__(self, "requirement", req)
 
@@ -73,7 +73,7 @@ class Job:
         return -(-self.size * r.numerator // r.denominator)
 
     def with_id(self, new_id: int) -> "Job":
-        """Copy of this job with a different id (used when re-indexing)."""
+        """Copy of this job with a different id."""
         return Job(id=new_id, size=self.size, requirement=self.requirement)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic

@@ -5,8 +5,10 @@ validator: a step's shares sum to at most its capacity; at most one job
 runs per online processor and none on an offline one; every share lies
 in ``[0, r_j]`` (the model would silently waste an excess; our schedulers
 never emit one); no job is processed after it finished.  It walks runs of
-identical steps and converts each share once to an integer at the LCM of
-every denominator it meets, which is exact for any rational input.  A run
+identical steps whose shares are integers at the run's scale (the form an
+:class:`~repro.engine.trace.SRJResult` trace keeps; :func:`exact_run`
+brings an exact share map into it) and books them at the LCM of every
+scale it meets, which is exact for any rational input.  A run
 of ``c`` steps is checked once, adds ``c·share`` to each job's delivered
 amount, finds a finishing step inside the run by ceiling division and
 reports a violation once, at the first step it holds.  Its ledger keeps
@@ -47,8 +49,9 @@ import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import TYPE_CHECKING, Dict, List, Optional, Sequence
+from typing import TYPE_CHECKING, Dict, List, Mapping, Optional, Sequence
 
+from ..numeric import lcm_scaled
 from .instance import Instance
 from .schedule import Schedule
 
@@ -97,25 +100,40 @@ class _Job:
                 f"but only {self.active} of them)")
 
 
+def exact_run(shares: Mapping, processors):
+    """A one-step run for :meth:`_Ledger.walk` from an exact ``job ->
+    share`` map, at the LCM of its denominators."""
+    scale, ints = lcm_scaled(shares.values())
+    return dict(zip(shares, ints)), scale, processors, 1
+
+
 class _Ledger:
     """The model rules' one routine (:meth:`walk`) and its per-job ledger.
 
-    *jobs* yields ``(key, r_j, p_j)`` with ``s_j = p_j·r_j``.  Amounts are
-    integers at :attr:`scale`, the LCM of every denominator met so far;
-    violations are appended to *violations*.
+    *jobs* yields ``(key, r_j, p_j)`` with ``r_j`` an integer at *scale*
+    and ``s_j = p_j·r_j``.  Amounts are integers at :attr:`scale`, the LCM
+    of every scale met so far; violations are appended to *violations*.
     """
 
-    def __init__(self, jobs, violations: List[str]) -> None:
-        ratios = [(key, r.as_integer_ratio(), p) for key, r, p in jobs]
-        self.scale = math.lcm(*(den for _key, (_num, den), _p in ratios))
-        self.jobs = {key: _Job(num * (self.scale // den), p)
-                     for key, (num, den), p in ratios}
+    def __init__(self, scale: int, jobs, violations: List[str]) -> None:
+        self.scale = scale
+        self.jobs = {key: _Job(req, p) for key, req, p in jobs}
         self.violations = violations
         self.t = 0  # steps walked; the next run starts at step t + 1
-        self._factor: Dict[int, int] = {}  # denominator -> scale // it
+        #: a scale met so far -> self.scale // it
+        self._factor: Dict[int, int] = {scale: 1}
 
     def value(self, amount: int) -> Fraction:
         return Fraction(amount, self.scale)
+
+    def owe(self, key, residual: Fraction) -> None:
+        """Book job *key* as owed exactly *residual* more of its ``s_j``
+        (the state a trusted checkpoint records)."""
+        num, den = residual.as_integer_ratio()
+        if den not in self._factor:
+            self._admit(den)
+        job = self.jobs[key]
+        job.got = job.need - num * self._factor[den]
 
     def _admit(self, den: int) -> int:
         """Make *den* divide the scale, rescaling every amount; return the
@@ -133,7 +151,8 @@ class _Ledger:
     def walk(self, runs, capacity, online, where: str = "step {t}") -> None:
         """Check the per-step rules on *runs* and book them in the ledger.
 
-        Each run is ``(shares, processors, count)``: job -> share, job ->
+        Each run is ``(units, scale, processors, count)``: job -> share as
+        an integer at *scale* (the share is ``units[j] / scale``), job ->
         processor (None where the model assigns none) and its number of
         identical steps; the runs follow step :attr:`t`.  A step's shares
         sum to at most *capacity*; *online* holds the processors a job may
@@ -149,25 +168,24 @@ class _Ledger:
         def bad(step: int, what: str) -> None:
             violations.append(f"{where.format(t=step, i=i)}: {what}")
 
-        for i, (shares, procs, count) in enumerate(runs):
+        for i, (shares, scale, procs, count) in enumerate(runs):
             start = t + 1
             if count < 1:
                 bad(start, f"run of {count} steps")
                 continue
             t += count
+            q = factor.get(scale)
+            if q is None:
+                cap *= self._admit(scale)
+                q = factor[scale]
             total = 0
             seen = set()
-            for j, share in shares.items():
+            for j, u in shares.items():
                 job = jobs.get(j)
                 if job is None:
                     bad(start, f"unknown job id {j}")
                     continue
-                num, den = share.as_integer_ratio()
-                q = factor.get(den)
-                if q is None:
-                    grow = self._admit(den)
-                    total, cap, q = total * grow, cap * grow, factor[den]
-                v = num * q
+                v = u * q
                 total += v
                 if procs is not None:
                     p = procs.get(j)
@@ -190,12 +208,13 @@ class _Ledger:
                 job.last = t
                 job.active += count
                 if v > job.req:
-                    bad(start, f"job {j} share {share} exceeds requirement "
-                        f"r_j={self.value(job.req)}")
+                    bad(start, f"job {j} share {Fraction(u, scale)} exceeds "
+                        f"requirement r_j={self.value(job.req)}")
                     v = job.req
                 elif v <= 0:
                     if v < 0:
-                        bad(start, f"job {j} negative share {share}")
+                        bad(start, f"job {j} negative share "
+                            f"{Fraction(u, scale)}")
                     elif job.idle is None:
                         job.idle = start
                     continue
@@ -216,8 +235,11 @@ class _Ledger:
 
 
 def _srj_ledger(instance: Instance, violations: List[str]) -> _Ledger:
+    """The ledger of *instance*'s jobs at its scale ``L``."""
     return _Ledger(
-        ((job.id, job.requirement, job.size) for job in instance.jobs),
+        instance.scale,
+        ((job.id, u, job.size)
+         for job, u in zip(instance.jobs, instance.units)),
         violations,
     )
 
@@ -254,7 +276,9 @@ def validate_schedule(
                 ids = [p.job_id for p in step.pieces]
                 for jid in sorted({j for j in ids if ids.count(j) > 1}):
                     violations.append(f"step {t}: job {jid} scheduled twice")
-            yield shares, {p.job_id: p.processor for p in step.pieces}, 1
+            yield exact_run(
+                shares, {p.job_id: p.processor for p in step.pieces}
+            )
 
     ledger = _srj_ledger(schedule.instance, violations)
     ledger.walk(runs(), budget, frozenset(range(schedule.instance.m)))
@@ -282,7 +306,7 @@ def validate_result(
     with span(observer, "validate"):
         violations: List[str] = []
         ledger = _srj_ledger(result.instance, violations)
-        ledger.walk(((run.shares, run.processors, run.count)
+        ledger.walk(((run.units, run.scale, run.processors, run.count)
                      for run in result.trace), budget,
                     frozenset(range(result.instance.m)))
         _srj_end_rules(ledger, require_all_finished)

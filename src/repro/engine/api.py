@@ -1,8 +1,11 @@
 """Engine entry points: build a backend context + policy + state, run the
-loop, emit results in the exact (rational) domain.
+loop, emit results.
 
-This is the one place where scaled working-domain quantities are converted
-back to exact values; the front-end modules (``repro.core``,
+SRJ runs read their requirements off the instance's integers at ``L``
+and leave their trace as integer shares at the run's scale (the
+:class:`~repro.engine.trace.TraceRun` form, exact Fractions built on
+read).  The other layers' results are converted back to exact values
+here; the front-end modules (``repro.core``,
 ``repro.tasks``, ``repro.online``, ``repro.assigned``) delegate here and
 only adapt their own model types.  To avoid import cycles this module
 never imports those front-ends — instance/task objects are consumed
@@ -11,12 +14,13 @@ duck-typed.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..numeric import ceil_div
 from ..obs import setup_observer, span
-from .backends import make_context, resolve_backend
+from .backends import lcm_denominator, make_context, resolve_backend
 from .loop import StepDecision, run_loop
 from .policies import (
     AssignedQueuePolicy,
@@ -73,29 +77,43 @@ class _SerialObsState:
 # ---------------------------------------------------------------------------
 
 
-def _build_srj_result(instance, state: EngineState) -> SRJResult:
-    """Convert a finished engine state into an :class:`SRJResult`,
-    rescaling all working-domain quantities back to exact values."""
-    conv = state.ctx.to_fraction
-    result = SRJResult(
+def _srj_state(
+    backend: str, instance, budget: Fraction, **record: bool
+) -> Tuple[int, EngineState]:
+    """The scale step of a run over an :class:`Instance`: its scale
+    ``D = lcm(L, den(budget))`` and a fresh state at ``D``, whose ``r_j``
+    are read off the instance's integers at ``L``.  *record* goes to
+    :class:`EngineState`."""
+    scale = math.lcm(instance.scale, budget.denominator)
+    ctx = make_context(backend, scale)
+    req = ctx.from_units(instance.units, instance.scale)
+    return scale, EngineState(
+        instance.m,
+        ctx,
+        dict(enumerate(req)),
+        {job.id: job.size * r for job, r in zip(instance.jobs, req)},
+        **record,
+    )
+
+
+def _build_srj_result(instance, state: EngineState, scale: int) -> SRJResult:
+    """Wrap a finished engine state in an :class:`SRJResult`.  The trace
+    keeps the shares as integers at the run's *scale* (on the int backend
+    the engine's own share maps); only the waste becomes a Fraction."""
+    as_units = state.ctx.as_units
+    at_scale = TraceRun.at_scale
+    return SRJResult(
         instance=instance,
         makespan=state.t,
         completion_times=dict(state.completion_times),
+        trace=[
+            at_scale(as_units(shares, scale), scale, procs, count, case, win)
+            for shares, procs, count, case, win in state.trace
+        ],
         steps_full_jobs=state.steps_full_jobs,
         steps_full_resource=state.steps_full_resource,
-        total_waste=Fraction(conv(state.waste_units)),
+        total_waste=Fraction(state.ctx.to_fraction(state.waste_units)),
     )
-    result.trace = [
-        TraceRun(
-            shares={j: conv(c) for j, c in shares.items()},
-            processors=procs,
-            count=count,
-            case=case,
-            window=win,
-        )
-        for shares, procs, count, case, win in state.trace
-    ]
-    return result
 
 
 # ---------------------------------------------------------------------------
@@ -145,14 +163,10 @@ def solve_srj(
         result.stats = metrics
         return result
     with span(obs, "scale"):
-        ctx = make_context(
-            backend, budget, (job.requirement for job in instance.jobs)
+        scale, state = _srj_state(
+            backend, instance, budget, record_trace=True
         )
-        req = {job.id: ctx.scale(job.requirement) for job in instance.jobs}
-        totals = {job.id: job.size * req[job.id] for job in instance.jobs}
-        state = EngineState(
-            instance.m, ctx, req, totals, record_trace=True
-        )
+        ctx = state.ctx
     if obs is not None:
         obs.on_run_start(_run_meta("srj", ctx, instance.m, instance.n))
     policy = SlidingWindowPolicy(
@@ -190,7 +204,7 @@ def solve_srj(
             step_limit=step_limit,
         )
     with span(obs, "emit"):
-        result = _build_srj_result(instance, state)
+        result = _build_srj_result(instance, state, scale)
     if obs is not None:
         obs.on_run_end(state, _srj_summary("srj", result))
     result.stats = metrics
@@ -232,18 +246,25 @@ def run_serial(
         observer.on_run_start(
             _run_meta("srj-serial", obs_state.ctx, instance.m, instance.n)
         )
+    # integers at the run's scale D = lcm(L, den(budget))
+    scale = math.lcm(instance.scale, budget.denominator)
+    grow = scale // instance.scale
+    cap = budget.numerator * (scale // budget.denominator)
 
-    def emit(run: TraceRun) -> None:
+    def emit(job_id: int, share: int, count: int) -> None:
+        run = TraceRun.at_scale(
+            {job_id: share}, scale, {job_id: 0}, count, "serial", [job_id]
+        )
         result.trace.append(run)
         if obs_state is None:
             return
-        obs_state.t += run.count
+        obs_state.t += count
         obs_state.processor_of.update(run.processors)
         observer.on_decision(
             obs_state,
             StepDecision(
                 shares=run.shares,
-                count=run.count,
+                count=count,
                 case=run.case,
                 window=run.window,
                 full_jobs_step=True,
@@ -251,48 +272,24 @@ def run_serial(
         )
 
     t = 0
-    for job in instance.jobs:
+    for job, u in zip(instance.jobs, instance.units):
         if step_limit is not None and t >= step_limit:
             break
-        share = min(job.requirement, budget)
-        steps = ceil_div(job.total_requirement, share)
+        share = min(u * grow, cap)
+        need = job.size * u * grow
+        steps = -(-need // share)
         if step_limit is not None and t + steps > step_limit:
             # truncated tail: the job keeps its full per-step share for the
             # remaining room and stays unfinished (no completion recorded)
             room = step_limit - t
-            emit(
-                TraceRun(
-                    shares={job.id: share},
-                    processors={job.id: 0},
-                    count=room,
-                    case="serial",
-                    window=[job.id],
-                )
-            )
+            emit(job.id, share, room)
             t += room
             result.steps_full_jobs += room
             break
         full_steps = steps - 1
-        rem_last = job.total_requirement - full_steps * share
         if full_steps > 0:
-            emit(
-                TraceRun(
-                    shares={job.id: share},
-                    processors={job.id: 0},
-                    count=full_steps,
-                    case="serial",
-                    window=[job.id],
-                )
-            )
-        emit(
-            TraceRun(
-                shares={job.id: rem_last},
-                processors={job.id: 0},
-                count=1,
-                case="serial",
-                window=[job.id],
-            )
-        )
+            emit(job.id, share, full_steps)
+        emit(job.id, need - full_steps * share, 1)
         t += steps
         result.completion_times[job.id] = t
         result.steps_full_jobs += steps
@@ -321,14 +318,14 @@ def run_unit(
     resolve_backend(backend)
     obs, metrics = setup_observer(observer, collect_stats)
     with span(obs, "scale"):
-        ctx = make_context(
-            backend, Fraction(1), (job.requirement for job in instance.jobs)
+        scale, state = _srj_state(
+            backend, instance, Fraction(1), record_trace=True
         )
-        req = {job.id: ctx.scale(job.requirement) for job in instance.jobs}
-        state = EngineState(instance.m, ctx, req, req, record_trace=True)
+        ctx = state.ctx
     if obs is not None:
         obs.on_run_start(_run_meta("unit", ctx, instance.m, instance.n))
-    order = sorted((value, job_id) for job_id, value in req.items())
+    # canonical ids are already in (value, id) order
+    order = [(value, j) for j, value in state.req.items()]
     policy = UnitWindowPolicy(budget=ctx.scale(Fraction(1)), order=order)
     # every job needs at most a bulk run plus two finishing decisions
     with span(obs, "loop"):
@@ -342,7 +339,7 @@ def run_unit(
             observer=obs,
         )
     with span(obs, "emit"):
-        result = _build_srj_result(instance, state)
+        result = _build_srj_result(instance, state, scale)
     if obs is not None:
         obs.on_run_end(state, _srj_summary("unit", result))
     result.stats = metrics
@@ -371,7 +368,7 @@ def unit_makespan(
         raise ValueError("requirements must be positive")
     if not requirements:
         return 0
-    ctx = make_context(backend, budget, requirements)
+    ctx = make_context(backend, lcm_denominator(budget, requirements))
     ranked = sorted(
         (ctx.scale(r), i) for i, r in enumerate(requirements)
     )
@@ -427,7 +424,7 @@ def run_sequential_tasks(
     obs, _ = setup_observer(observer)
     with span(obs, "scale"):
         all_reqs = [r for task in tasks for r in task.requirements]
-        ctx = make_context(backend, budget, all_reqs)
+        ctx = make_context(backend, lcm_denominator(budget, all_reqs))
         req = {
             (task.id, i): ctx.scale(r)
             for task in tasks
@@ -491,19 +488,6 @@ def run_sequential_tasks(
 # ---------------------------------------------------------------------------
 
 
-def _online_state(
-    offline, backend: str, record_utilization: bool = True
-) -> EngineState:
-    ctx = make_context(
-        backend, Fraction(1), (job.requirement for job in offline.jobs)
-    )
-    req = {job.id: ctx.scale(job.requirement) for job in offline.jobs}
-    totals = {job.id: job.size * req[job.id] for job in offline.jobs}
-    return EngineState(
-        offline.m, ctx, req, totals, record_utilization=record_utilization
-    )
-
-
 def _run_online_policy(
     offline, make_policy, layer: str, max_steps: int, backend: str, observer
 ) -> Tuple[int, Dict[int, int], List[Fraction]]:
@@ -511,7 +495,9 @@ def _run_online_policy(
     resolve_backend(backend)
     obs, _ = setup_observer(observer)
     with span(obs, "scale"):
-        state = _online_state(offline, backend)
+        _scale, state = _srj_state(
+            backend, offline, Fraction(1), record_utilization=True
+        )
     if obs is not None:
         obs.on_run_start(
             _run_meta(layer, state.ctx, offline.m, len(offline.jobs))
@@ -608,7 +594,8 @@ def run_assigned(
     obs, _ = setup_observer(observer)
     with span(obs, "scale"):
         ctx = make_context(
-            kind, budget, (j.requirement for j in instance.jobs())
+            kind,
+            lcm_denominator(budget, (j.requirement for j in instance.jobs())),
         )
         req = {j.key: ctx.scale(j.requirement) for j in instance.jobs()}
         totals = {j.key: j.size * req[j.key] for j in instance.jobs()}

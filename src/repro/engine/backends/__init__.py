@@ -8,9 +8,6 @@ bit-for-bit identical and typically an order of magnitude faster;
 
 from __future__ import annotations
 
-from fractions import Fraction
-from typing import Iterable
-
 from .base import NumericContext
 from .fraction import FractionContext, steps_until_status_change
 from .integer import IntegerContext, int_steps_until_status_change, lcm_denominator
@@ -28,14 +25,14 @@ def resolve_backend(backend: str) -> str:
     return "int" if backend == "auto" else backend
 
 
-def make_context(
-    backend: str, budget: Fraction, requirements: Iterable[Fraction]
-) -> NumericContext:
-    """Build the numeric context for a resolved *backend* name."""
+def make_context(backend: str, denominator: int) -> NumericContext:
+    """Build the numeric context for *backend*; *denominator* is the run's
+    scale ``D`` (:func:`lcm_denominator` of its budget and requirements),
+    which the integer backend multiplies every quantity by."""
     kind = resolve_backend(backend)
     if kind == "fraction":
-        return FractionContext.build(budget, requirements)
-    return IntegerContext.build(budget, requirements)
+        return FractionContext()
+    return IntegerContext(denominator)
 
 
 __all__ = [

@@ -9,8 +9,12 @@ quantities: they only ever add, subtract, multiply by an ``int``, take
 representation-specific lives behind this protocol:
 
 * ``scale``   — embed an exact rational input into the working domain;
+* ``from_units`` — embed quantities given as integers at a scale (an
+  :class:`~repro.core.instance.Instance`'s ``r_j·L``);
+* ``as_units`` — a step's shares as integers at the run's scale, the form
+  an :class:`~repro.engine.trace.SRJResult` trace keeps;
 * ``to_fraction`` — convert a scaled quantity back to an exact
-  :class:`~fractions.Fraction` (used once, when emitting results);
+  :class:`~fractions.Fraction` (waste, utilization, telemetry);
 * ``steps_until_status_change`` — the bulk-horizon congruence of the
   accelerated scheduler (Theorem 3.3), whose solution needs
   representation-aware integer arithmetic;
@@ -25,7 +29,7 @@ integer domain; see docs/PERFORMANCE.md for the exactness argument).
 
 from __future__ import annotations
 
-from typing import Optional, Protocol, runtime_checkable
+from typing import Dict, Optional, Protocol, Sequence, runtime_checkable
 
 
 @runtime_checkable
@@ -39,6 +43,15 @@ class NumericContext(Protocol):
 
     def scale(self, value):
         """Embed an exact rational *value* into the working domain."""
+        ...  # pragma: no cover - protocol
+
+    def from_units(self, units: Sequence[int], scale: int) -> Sequence:
+        """The quantities ``u / scale`` in the working domain; *scale*
+        divides the run's denominator."""
+        ...  # pragma: no cover - protocol
+
+    def as_units(self, shares: Dict, scale: int) -> Dict:
+        """*shares* (working domain) as integers at the run's *scale*."""
         ...  # pragma: no cover - protocol
 
     def to_fraction(self, value):

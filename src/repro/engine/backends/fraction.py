@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Iterable, Optional
+from typing import Dict, List, Optional, Sequence
 
 
 def steps_until_status_change(
@@ -57,6 +57,15 @@ class FractionContext:
     def scale(self, value: Fraction) -> Fraction:
         return value
 
+    def from_units(self, units: Sequence[int], scale: int) -> List[Fraction]:
+        return [Fraction(u, scale) for u in units]
+
+    def as_units(self, shares: Dict, scale: int) -> Dict:
+        return {
+            j: c.numerator * (scale // c.denominator)
+            for j, c in shares.items()
+        }
+
     def to_fraction(self, value: Fraction) -> Fraction:
         return value
 
@@ -64,10 +73,3 @@ class FractionContext:
         self, a: Fraction, c: Fraction, r: Fraction
     ) -> Optional[int]:
         return steps_until_status_change(a, c, r)
-
-    @classmethod
-    def build(
-        cls, budget: Fraction, requirements: Iterable[Fraction]
-    ) -> "FractionContext":
-        # requirements are irrelevant for the identity scaling
-        return cls()

@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Dict, Iterable, Optional
+from typing import Dict, Iterable, Optional, Sequence
 
 
 def lcm_denominator(budget: Fraction, requirements: Iterable[Fraction]) -> int:
@@ -78,6 +78,14 @@ class IntegerContext:
     def scale(self, value: Fraction) -> int:
         return value.numerator * (self.denominator // value.denominator)
 
+    def from_units(self, units: Sequence[int], scale: int) -> Sequence[int]:
+        grow = self.denominator // scale
+        return units if grow == 1 else [u * grow for u in units]
+
+    def as_units(self, shares: Dict, scale: int) -> Dict:
+        # the run's scale is this context's denominator: nothing to convert
+        return shares
+
     def to_fraction(self, value: int) -> Fraction:
         f = self._frac_cache.get(value)
         if f is None:
@@ -86,9 +94,3 @@ class IntegerContext:
 
     def steps_until_status_change(self, a: int, c: int, r: int) -> Optional[int]:
         return int_steps_until_status_change(a, c, r)
-
-    @classmethod
-    def build(
-        cls, budget: Fraction, requirements: Iterable[Fraction]
-    ) -> "IntegerContext":
-        return cls(lcm_denominator(budget, requirements))

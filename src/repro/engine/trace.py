@@ -3,10 +3,12 @@
 Every scheduler layer that runs through the engine emits its history in
 this one format: a list of :class:`TraceRun` objects (each a run of
 ``count`` identical time steps), wrapped in an :class:`SRJResult`.
-Validators walk the runs themselves
-(:func:`repro.core.validate.validate_result`); analysis code consumes
-the trace streamed (:meth:`SRJResult.iter_steps`) or materialized
-(:meth:`SRJResult.schedule`).
+A run keeps its shares as integers at the run's scale — the working
+form both backends compute in — and builds exact Fractions only when
+they are read (:attr:`TraceRun.shares`).  Validators walk the integer
+runs themselves (:func:`repro.core.validate.validate_result`); analysis
+code consumes the trace streamed (:meth:`SRJResult.iter_steps`) or
+materialized (:meth:`SRJResult.schedule`).
 
 Historically these classes lived in ``repro.core.scheduler``; that module
 re-exports them, so existing imports keep working.
@@ -18,21 +20,91 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import TYPE_CHECKING, Dict, Iterator, List, Mapping, Tuple
 
+from ..numeric import lcm_scaled
+
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..core.instance import Instance
     from ..core.schedule import Schedule
     from ..obs.metrics import MetricsRegistry
 
 
-@dataclass
 class TraceRun:
-    """A run of *count* identical time steps with the given shares."""
+    """A run of *count* identical time steps.
 
-    shares: Dict[int, Fraction]
-    processors: Dict[int, int]
-    count: int
-    case: str
-    window: List[int]
+    Job ``j`` receives ``units[j] / scale`` in every step of the run.
+    :attr:`shares` builds that exact map on read; the constructor and
+    assignment to :attr:`shares` take an exact map and keep it at the LCM
+    of its denominators.  Runs compare by their exact shares, whatever
+    their scales.
+    """
+
+    __slots__ = ("units", "scale", "processors", "count", "case", "window")
+
+    def __init__(
+        self,
+        shares: Mapping[int, Fraction],
+        processors: Dict[int, int],
+        count: int,
+        case: str,
+        window: List[int],
+    ) -> None:
+        self.shares = shares
+        self.processors = processors
+        self.count = count
+        self.case = case
+        self.window = window
+
+    @classmethod
+    def at_scale(
+        cls,
+        units: Dict[int, int],
+        scale: int,
+        processors: Dict[int, int],
+        count: int,
+        case: str,
+        window: List[int],
+    ) -> "TraceRun":
+        """A run whose shares are the integers *units* at *scale*."""
+        run = cls.__new__(cls)
+        run.units = units
+        run.scale = scale
+        run.processors = processors
+        run.count = count
+        run.case = case
+        run.window = window
+        return run
+
+    @property
+    def shares(self) -> Dict[int, Fraction]:
+        """``job -> share`` as exact Fractions (a new map on every read)."""
+        scale = self.scale
+        return {j: Fraction(u, scale) for j, u in self.units.items()}
+
+    @shares.setter
+    def shares(self, shares: Mapping[int, Fraction]) -> None:
+        self.scale, ints = lcm_scaled(shares.values())
+        self.units = dict(zip(shares, ints))
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, TraceRun):
+            return NotImplemented
+        if (self.processors, self.count, self.case, self.window) != (
+            other.processors, other.count, other.case, other.window
+        ):
+            return False
+        a, b = self.units, other.units
+        if self.scale == other.scale:
+            return a == b
+        return a.keys() == b.keys() and all(
+            u * other.scale == b[j] * self.scale for j, u in a.items()
+        )
+
+    def __repr__(self) -> str:
+        return (
+            f"TraceRun(shares={self.shares!r}, processors="
+            f"{self.processors!r}, count={self.count!r}, case="
+            f"{self.case!r}, window={self.window!r})"
+        )
 
 
 @dataclass
@@ -87,12 +159,6 @@ class SRJResult:
                 f"schedule has {self.makespan} steps; raise max_steps to expand"
             )
         sched = Schedule(instance=self.instance)
-        for run in self.trace:
-            for _ in range(run.count):
-                sched.append_step(
-                    {
-                        j: (run.processors[j], share)
-                        for j, share in run.shares.items()
-                    }
-                )
+        for step in self.iter_steps():
+            sched.append_step(step)
         return sched

@@ -99,6 +99,8 @@ class FaultedResult:
     applied: List[Tuple[FaultEvent, bool]]
     #: makespan of the same instance without faults (None if not computed)
     fault_free_makespan: Optional[int] = None
+    #: the checkpoint a resumed run started from (None: it ran from step 0)
+    resumed_from: Optional[Checkpoint] = None
     #: metrics accumulated by ``collect_stats=True`` (else ``None``)
     stats: object = field(default=None, repr=False, compare=False)
 
@@ -313,25 +315,26 @@ def run_with_faults(
             )
             up = tuple(p for p in range(instance.m) if p not in down)
             runs = [
-                TraceRun(
-                    shares={
-                        keymap[cid]: share
-                        for cid, share in run.shares.items()
-                    },
-                    processors={
+                TraceRun.at_scale(
+                    {keymap[cid]: u for cid, u in run.units.items()},
+                    run.scale,
+                    {
                         keymap[cid]: up[proc]
                         for cid, proc in run.processors.items()
                     },
-                    count=run.count,
-                    case=run.case,
-                    window=[keymap[cid] for cid in run.window],
+                    run.count,
+                    run.case,
+                    [keymap[cid] for cid in run.window],
                 )
                 for run in res.trace
             ]
             # the segment's deliveries, totalled by the model rules' walk
             spent = _srj_ledger(sub, [])
-            spent.walk(((run.shares, None, run.count) for run in res.trace),
-                       capacity[0], range(m_eff))
+            spent.walk(
+                ((run.units, run.scale, None, run.count)
+                 for run in res.trace),
+                capacity[0], range(m_eff),
+            )
             for cid, job in spent.jobs.items():
                 if job.got > job.need:
                     raise AssertionError(
@@ -377,6 +380,7 @@ def run_with_faults(
         checkpoints=checkpoints,
         applied=applied,
         fault_free_makespan=fault_free,
+        resumed_from=from_checkpoint,
         stats=metrics,
     )
 
@@ -428,10 +432,23 @@ def validate_faulted(result: FaultedResult) -> ValidationReport:
     exactly ``s_j`` and carry a completion time equal to the step it
     finished in; an aborted one receives at most ``s_j``.  Migration and
     preemption across segments are allowed: a crash can force them.
+
+    A resumed result (``resumed_from`` set) is checked from its
+    checkpoint, which is trusted: the segments must cover
+    ``[cp.t, makespan)``, a job with residual ``v_j`` is owed exactly
+    ``v_j`` more, one the checkpoint lists as completed keeps its
+    completion step and, like one it lists as aborted, is owed nothing.
     """
     violations: List[str] = []
     ledger = _srj_ledger(result.instance, violations)
+    cp = result.resumed_from
     cursor = 0
+    if cp is not None:
+        cursor = ledger.t = cp.t
+        for key, job in ledger.jobs.items():
+            ledger.owe(key, cp.residual.get(key, Fraction(0)))
+            job.finish = cp.completed.get(key)
+    first = cursor
     for si, seg in enumerate(result.segments):
         if seg.start != cursor:
             violations.append(
@@ -442,7 +459,8 @@ def validate_faulted(result: FaultedResult) -> ValidationReport:
         cursor = seg.start + seg.length
         ledger.t = seg.start
         ledger.walk(
-            ((run.shares, run.processors, run.count) for run in seg.runs),
+            ((run.units, run.scale, run.processors, run.count)
+             for run in seg.runs),
             seg.capacity,
             frozenset(seg.processors),
             f"step {{t}} in segment {si} run {{i}}",
@@ -452,7 +470,8 @@ def validate_faulted(result: FaultedResult) -> ValidationReport:
                               f"steps, length {seg.length}")
     if cursor != result.makespan:
         violations.append(
-            f"segments cover [0, {cursor}), makespan is {result.makespan}"
+            f"segments cover [{first}, {cursor}), makespan is "
+            f"{result.makespan}"
         )
     for key, job in ledger.jobs.items():
         got, need = ledger.value(job.got), ledger.value(job.need)

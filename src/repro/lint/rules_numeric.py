@@ -156,16 +156,24 @@ class ExactNoFloat(Rule):
 
     name = "exact-no-float"
     description = (
-        "exact modules (core/, engine/backends/, exact/, tasks/exact.py, "
-        "faults/) must not use float literals, float() conversions or "
-        "floating math.* functions"
+        "exact modules (core/, engine/backends/, engine/trace.py, "
+        "engine/api.py, exact/, tasks/exact.py, faults/, the binpacking "
+        "reduction/packing/item/sliding modules, io.py) must not use "
+        "float literals, float() conversions or floating math.* functions"
     )
     scope = (
         "repro/core/",
         "repro/engine/backends/",
+        "repro/engine/trace.py",
+        "repro/engine/api.py",
         "repro/exact/",
         "repro/tasks/exact.py",
         "repro/faults/",
+        "repro/binpacking/reduction.py",
+        "repro/binpacking/packing.py",
+        "repro/binpacking/item.py",
+        "repro/binpacking/sliding.py",
+        "repro/io.py",
     )
 
     def check(self, ctx: FileContext) -> None:

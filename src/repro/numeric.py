@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Iterable, Union
+from typing import Iterable, List, Tuple, Union
 
 Number = Union[int, float, Fraction]
 
@@ -65,6 +65,19 @@ def frac_sum(xs: Iterable[Fraction]) -> Fraction:
             lcm = grown
         total += num * (lcm // den)
     return Fraction(total, lcm)
+
+
+def lcm_scaled(values: Iterable[Fraction]) -> Tuple[int, List[int]]:
+    """*values* as integers at one scale: ``(D, [x·D for x in values])``
+    with ``D`` the LCM of their denominators (1 if there are none).
+
+    The exact working form of a set of rationals: ``x == Fraction(x·D, D)``
+    and every sum, difference and comparison of them is decided on the
+    integers.
+    """
+    ratios = [x.as_integer_ratio() for x in values]
+    scale = math.lcm(*(den for _num, den in ratios))
+    return scale, [num * (scale // den) for num, den in ratios]
 
 
 def ceil_div(value: Fraction, unit: Fraction) -> int:

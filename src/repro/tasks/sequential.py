@@ -39,7 +39,6 @@ from fractions import Fraction
 from typing import Dict, List, Sequence, Tuple
 
 from ..engine import api as _engine
-from ..numeric import frac_sum
 from .model import Task
 
 #: global job key: (task id, job index within task)
@@ -48,11 +47,10 @@ JobKey = Tuple[int, int]
 
 @dataclass
 class StepRecord:
-    """One step of the sequential engine: shares per global job key."""
+    """One step of the sequential engine: shares per global job key (the
+    step's resource use is their sum, its processor count their number)."""
 
     shares: Dict[JobKey, Fraction]
-    resource_used: Fraction
-    processors_used: int
     tasks_packed: List[int]
 
 
@@ -88,12 +86,7 @@ def run_sequential(
     steps: List[StepRecord] = []
     if raw_steps is not None:
         steps = [
-            StepRecord(
-                shares=shares,
-                resource_used=frac_sum(shares.values()),
-                processors_used=len(shares),
-                tasks_packed=packed,
-            )
+            StepRecord(shares=shares, tasks_packed=packed)
             for shares, packed in raw_steps
         ]
     return SequentialResult(

@@ -19,7 +19,8 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import List, Mapping
 
-from ..core.validate import _Ledger
+from ..core.validate import _Ledger, exact_run
+from ..numeric import lcm_scaled
 from .model import TaskInstance, TaskScheduleResult
 from .partition import heavy_allotment, light_allotment
 
@@ -45,8 +46,10 @@ def validate_task_schedule(
             return ["fallback runs carry no recorded halves to validate"]
         return ["no recorded steps; run schedule_tasks(record_steps=True)"]
     violations: List[str] = []
-    jobs = [((task.id, idx), r, 1) for task in instance.tasks
+    reqs = [((task.id, idx), r) for task in instance.tasks
             for idx, r in enumerate(task.requirements)]
+    scale, units = lcm_scaled(r for _key, r in reqs)
+    jobs = [(key, u, 1) for (key, _r), u in zip(reqs, units)]
 
     def completions(label: str, recorded: Mapping, ledger: _Ledger) -> None:
         for task in instance.tasks:
@@ -61,9 +64,9 @@ def validate_task_schedule(
                     )
 
     for label, half, (m_alloc, budget) in halves:
-        ledger = _Ledger(jobs, violations)
+        ledger = _Ledger(scale, jobs, violations)
         ledger.walk(
-            ((step.shares, None, 1) for step in half.steps),
+            (exact_run(step.shares, None) for step in half.steps),
             budget, range(m_alloc), f"{label} step {{t}}",
         )
         for key, job in ledger.jobs.items():
@@ -82,12 +85,12 @@ def validate_task_schedule(
             for _label, half, _allotment in halves:
                 if t < len(half.steps):
                     shares.update(half.steps[t].shares)
-            yield shares, None, 1
+            yield exact_run(shares, None)
 
-    merged = _Ledger(jobs, violations)
+    merged = _Ledger(scale, jobs, violations)
     merged.walk(merged_steps(), Fraction(1), range(instance.m),
                 "merged step {t}")
-    for (task_id, idx), r, _size in jobs:
+    for (task_id, idx), r in reqs:
         got = merged.value(merged.jobs[(task_id, idx)].got)
         if got != r:
             violations.append(

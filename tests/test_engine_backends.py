@@ -109,8 +109,6 @@ class TestSequentialSRT:
             assert len(frac.steps) == len(fast.steps)
             for a, b in zip(frac.steps, fast.steps):
                 assert a.shares == b.shares
-                assert a.resource_used == b.resource_used
-                assert a.processors_used == b.processors_used
                 assert a.tasks_packed == b.tasks_packed
 
     def test_run_sequential_fractional_budget(self):

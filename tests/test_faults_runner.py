@@ -217,6 +217,56 @@ class TestCheckpointResume:
         assert resumed.makespan == full.makespan
         assert resumed.completion_times == full.completion_times
 
+    def test_every_resumed_result_validates(self):
+        """Each checkpoint of the ``_plan()`` run resumes to a result that
+        ``validate_faulted`` accepts, checked from the checkpoint on."""
+        inst = _inst(m=4, n=14, seed=2)
+        plan = _plan()
+        full = run_with_faults(inst, plan)
+        assert len(full.checkpoints) == 5
+        for cp in full.checkpoints:
+            resumed = run_with_faults(inst, plan, from_checkpoint=cp)
+            assert resumed.resumed_from is cp
+            assert resumed.makespan == full.makespan
+            assert resumed.completion_times == full.completion_times
+            report = validate_faulted(resumed)
+            assert report.ok, (cp.t, report.violations)
+
+    def test_defects_in_a_resumed_tail_are_reported(self):
+        inst = _inst(m=4, n=14, seed=2)
+        plan = _plan()
+        cp = run_with_faults(inst, plan).checkpoints[1]
+
+        def resumed():
+            return run_with_faults(inst, plan, from_checkpoint=cp)
+
+        dropped = resumed()
+        run = dropped.segments[0].runs[0]
+        job = min(run.shares)
+        run.shares = {j: s for j, s in run.shares.items() if j != job}
+        violations = validate_faulted(dropped).violations
+        assert any(
+            v.startswith(f"job {job} delivered") for v in violations
+        ), violations
+
+        late = resumed()
+        late.segments[0].start += 1
+        assert (
+            f"segment 0 starts at {cp.t + 1}, expected {cp.t}"
+            in validate_faulted(late).violations
+        )
+
+        rerun = resumed()
+        done = min(cp.completed)
+        run = rerun.segments[0].runs[0]
+        run.shares = {**run.shares, done: Fraction(1, 100)}
+        run.processors = {**run.processors, done: 3}
+        assert any(
+            f"job {done} processed after finishing at step "
+            f"{cp.completed[done]}" in v
+            for v in validate_faulted(rerun).violations
+        )
+
     def test_resume_empty_plan_equals_straight_through(self):
         """checkpoint -> restore -> run == the run that took the checkpoint.
 

@@ -9,6 +9,7 @@ from repro.core.instance import Instance
 from repro.core.scheduler import schedule_srj
 from repro.core.state import SchedulerState
 from repro.engine import make_context
+from repro.engine.backends import lcm_denominator
 from repro.engine.loop import StepDecision
 from repro.faults import (
     Checkpoint,
@@ -103,7 +104,7 @@ class TestStateSnapshot:
         state = _mid_run_state()
         snap = snapshot_state(state)
         reqs = list(snap.requirements.values())
-        ctx = make_context("int", Fraction(1), reqs)
+        ctx = make_context("int", lcm_denominator(Fraction(1), reqs))
         again = snap.restore(ctx)
         assert again.ctx.to_fraction(
             again.remaining[0]

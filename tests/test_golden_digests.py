@@ -36,6 +36,7 @@ from fractions import Fraction
 from repro.core.instance import Instance
 from repro.engine.api import solve_srj
 from repro.faults import FaultPlan
+from repro.numeric import frac_sum
 from repro.online import schedule_online
 from repro.online.workload import poisson_like_instance
 from repro.simulator import SimulationEngine, SlidingWindowPolicy
@@ -218,8 +219,8 @@ def _sequential_record(res):
         [
             (
                 tuple((key, str(v)) for key, v in step.shares.items()),
-                str(step.resource_used),
-                step.processors_used,
+                str(frac_sum(step.shares.values())),
+                len(step.shares),
                 list(step.tasks_packed),
             )
             for step in res.steps

@@ -204,6 +204,15 @@ class TestExactNoFloat:
         )
         assert findings == []
 
+    def test_integer_trace_reader_in_scope(self, tmp_path):
+        """The packing built from the integer trace is an exact module."""
+        findings = _findings(
+            tmp_path, "repro/binpacking/reduction.py",
+            "def part(u, scale):\n    return float(u) / scale\n",
+            rule="exact-no-float",
+        )
+        assert [f.line for f in findings] == [2]
+
     def test_file_level_suppression(self, tmp_path):
         findings = _findings(
             tmp_path, "repro/core/lp.py",

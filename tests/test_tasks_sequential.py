@@ -76,9 +76,8 @@ class TestModelCompliance:
         budget = Fraction(1)
         res = run_sequential(tasks, m, budget, record_steps=True)
         for step in res.steps:
-            assert step.resource_used <= budget
-            assert step.processors_used <= m
-            assert frac_sum(step.shares.values()) == step.resource_used
+            assert frac_sum(step.shares.values()) <= budget
+            assert len(step.shares) <= m
             for (task_id, idx), share in step.shares.items():
                 assert share > 0
                 assert share <= tasks[task_id].requirements[idx]

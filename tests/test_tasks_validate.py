@@ -58,7 +58,6 @@ class TestValidateTaskSchedule:
         # corrupt: inflate one share beyond the heavy allotment
         key = next(iter(half.steps[0].shares))
         half.steps[0].shares[key] += Fraction(2)
-        half.steps[0].resource_used += Fraction(2)
         violations = validate_task_schedule(ti, res)
         assert any("resource" in v for v in violations)
 
@@ -77,8 +76,7 @@ class TestValidateTaskSchedule:
         )
 
     def test_detects_share_moved_past_allotment(self):
-        """Step totals come from the shares, not the recorded
-        ``resource_used`` (left stale here)."""
+        """Step totals come from the shares."""
         ti = make_taskset("heavy", random.Random(0), 8, 6)
         res = schedule_tasks(ti, record_steps=True)
         first, second = res.heavy_result.steps[:2]
