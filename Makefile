@@ -2,7 +2,7 @@
 PYTHON ?= python
 export PYTHONPATH := src
 
-.PHONY: test bench-smoke bench bench-srt bench-obs bench-incremental obs-smoke perf-check lint lint-hotpath faults-smoke sweep-smoke telemetry-smoke serve-smoke faultsweep perf-history perfbench-smoke check
+.PHONY: test bench-smoke bench bench-srt bench-obs bench-incremental obs-smoke perf-check lint faults-smoke sweep-smoke telemetry-smoke serve-smoke faultsweep perf-history perfbench-smoke check
 
 test:
 	$(PYTHON) -m pytest -x -q
@@ -61,11 +61,6 @@ faults-smoke:
 # worker-safe callables, observer threading.  Exits 1 on any finding.
 lint:
 	$(PYTHON) -m repro lint
-
-# back-compat alias for the old grep gate: the hot-path rule alone, now
-# AST-based (sees aliased imports, ignores comments/docstrings)
-lint-hotpath:
-	$(PYTHON) -m repro lint --rule hotpath-exact
 
 # sweep-fabric smoke: tiny sweep -> interrupt -> resume; verifies the
 # resumed report is bit-identical, a repeated run has 100% cache hits

@@ -20,7 +20,9 @@ Each validator applies its own model's end rules to the ledger.
 steps) check non-preemption, no migration and full delivery of ``s_j``;
 :func:`validate_result` also checks the recorded completion times and
 makespan.  :func:`assert_valid` / :func:`assert_result_valid` raise
-``ScheduleError`` with all violations listed.
+``ScheduleError`` with all violations listed.  The runs under a fault
+plan (:func:`repro.faults.validate_faulted` and the simulator's
+certificate) share one set of end rules, :func:`_faulted_end_rules`.
 
 :func:`window_violations` checks the other half of the algorithm's
 contract: Definition 3.1's job-window properties of one window against
@@ -258,6 +260,34 @@ def _srj_end_rules(ledger: _Ledger, require_all_finished: bool) -> None:
             ledger.violations.append(
                 f"job {key}: unfinished ({ledger.value(job.got)} / "
                 f"{ledger.value(job.need)})"
+            )
+
+
+def _faulted_end_rules(
+    ledger: _Ledger, completion_times: Mapping, aborted: Mapping
+) -> None:
+    """The end rules of a run under faults: every job not in *aborted*
+    received exactly ``s_j`` and finished at its recorded completion
+    step; an aborted one received at most ``s_j``.  Preemption and
+    migration are allowed: a crash can force them."""
+    violations = ledger.violations
+    for key, job in ledger.jobs.items():
+        got, need = ledger.value(job.got), ledger.value(job.need)
+        if key in aborted:
+            if got > need:
+                violations.append(
+                    f"aborted job {key} over-delivered: {got} > {need}"
+                )
+            continue
+        if got != need:
+            violations.append(f"job {key} delivered {got}, needs {need}")
+        recorded = completion_times.get(key)
+        if recorded is None:
+            violations.append(f"job {key} has no completion time")
+        elif recorded != job.finish:
+            violations.append(
+                f"job {key}: recorded completion {recorded} != finish "
+                f"step {job.finish}"
             )
 
 

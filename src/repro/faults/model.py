@@ -12,6 +12,10 @@ Pukrop–Rau):
   models a full resource outage);
 * ``abort`` — job ``job`` is cancelled (its residual volume is dropped).
 
+:class:`Machine` is the one place that applies crash, restore and dip
+events: the segmented runners and the simulator each drive one and keep
+only their own ``abort``.
+
 Everything is exact and reproducible: capacities are
 :class:`~fractions.Fraction` values, :meth:`FaultPlan.random` derives the
 whole plan from one integer seed via :class:`random.Random`, and the JSON
@@ -26,11 +30,14 @@ import json
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Tuple
 
 from ..numeric import to_fraction
 
-__all__ = ["KINDS", "FaultPlanError", "FaultEvent", "FaultPlan"]
+__all__ = [
+    "KINDS", "FaultPlanError", "FaultRecoveryError", "FaultEvent",
+    "FaultPlan", "Machine",
+]
 
 #: the supported event kinds
 KINDS = ("crash", "restore", "dip", "abort")
@@ -38,6 +45,11 @@ KINDS = ("crash", "restore", "dip", "abort")
 
 class FaultPlanError(ValueError):
     """A malformed fault event or plan."""
+
+
+class FaultRecoveryError(RuntimeError):
+    """The plan leaves the machine unable to finish (e.g. every
+    processor down with no restore event pending)."""
 
 
 @dataclass(frozen=True)
@@ -281,3 +293,69 @@ class FaultPlan:
     def load(cls, path: str) -> "FaultPlan":
         with open(path, encoding="utf-8") as fh:
             return cls.from_json(fh.read())
+
+
+
+class Machine:
+    """The machine condition a :class:`FaultPlan` drives: the crashed
+    processors (:attr:`down`), the per-step capacity and the plan cursor."""
+
+    def __init__(self, plan: Optional[FaultPlan], m: int, down=(),
+                 capacity=Fraction(1), next_event: int = 0) -> None:
+        self.events = plan.events if plan else ()
+        self.m, self.down = m, set(down)
+        self.capacity, self.next_event = Fraction(capacity), next_event
+
+    @property
+    def online(self) -> Tuple[int, ...]:
+        return tuple(p for p in range(self.m) if p not in self.down)
+
+    def next_time(self) -> Optional[int]:
+        """The step of the next pending event (None when none is left)."""
+        if self.next_event < len(self.events):
+            return self.events[self.next_event].t
+        return None
+
+    def advance(
+        self, t: int, abort: Callable[[FaultEvent], bool], observer=None,
+        layer: str = "",
+    ) -> List[Tuple[FaultEvent, bool]]:
+        """Apply the events due by step *t* in plan order; return each with
+        whether it took effect.  A crash of a down or unknown processor, a
+        restore of an up one and a dip to the capacity in effect are moot;
+        ``abort(event)`` applies an abort.  *observer* gets ``on_fault``
+        for each event, tagged with *layer*."""
+        applied: List[Tuple[FaultEvent, bool]] = []
+        events, down = self.events, self.down
+        while self.next_event < len(events) and events[self.next_event].t <= t:
+            ev = events[self.next_event]
+            self.next_event += 1
+            if ev.kind == "crash":
+                ok = ev.processor < self.m and ev.processor not in down
+                if ok:
+                    down.add(ev.processor)
+            elif ev.kind == "restore":
+                ok = ev.processor in down
+                down.discard(ev.processor)
+            elif ev.kind == "dip":
+                ok, self.capacity = ev.capacity != self.capacity, ev.capacity
+            else:
+                ok = abort(ev)
+            applied.append((ev, ok))
+            if observer is not None:
+                observer.on_fault(ev, {"t": t, "applied": ok, "layer": layer})
+        return applied
+
+    def stall(self, t: int) -> Optional[int]:
+        """None when the machine can run step ``t + 1``; when it is stalled
+        (no online processor or zero capacity), the step of the next event.
+        Raises :class:`FaultRecoveryError` if it is stalled for good."""
+        if len(self.down) < self.m and self.capacity > 0:
+            return None
+        resume = self.next_time()
+        if resume is None:
+            raise FaultRecoveryError(
+                f"machine stalled at step {t + 1} (no online processor or "
+                "zero capacity) with no restoring event left in the plan"
+            )
+        return resume

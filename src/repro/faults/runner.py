@@ -34,14 +34,18 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from ..core.instance import Instance
-from ..core.validate import ValidationReport, _srj_ledger
+from ..core.validate import (
+    ValidationReport,
+    _faulted_end_rules,
+    _srj_ledger,
+)
 from ..engine.api import solve_srj
 from ..engine.trace import SRJResult, TraceRun
 from ..obs import setup_observer
-from .model import FaultEvent, FaultPlan
+from .model import FaultEvent, FaultPlan, FaultRecoveryError, Machine
 from .snapshot import Checkpoint
 
 __all__ = [
@@ -56,11 +60,6 @@ __all__ = [
     "injection_schedule",
     "INJECTION_KINDS",
 ]
-
-
-class FaultRecoveryError(RuntimeError):
-    """The plan leaves the machine unable to finish (e.g. every
-    processor down with no restore event pending)."""
 
 
 @dataclass
@@ -166,39 +165,6 @@ def _residual_instance(
     return sub, keymap
 
 
-def _apply_event(
-    ev: FaultEvent,
-    m: int,
-    down: Set[int],
-    capacity: List[Fraction],
-    residual: Dict[int, Fraction],
-    aborted: Dict[int, int],
-    t: int,
-) -> bool:
-    """Mutate the machine condition for one event; True iff it took effect."""
-    if ev.kind == "crash":
-        if ev.processor >= m or ev.processor in down:
-            return False
-        down.add(ev.processor)
-        return True
-    if ev.kind == "restore":
-        if ev.processor not in down:
-            return False
-        down.discard(ev.processor)
-        return True
-    if ev.kind == "dip":
-        if capacity[0] == ev.capacity:
-            return False
-        capacity[0] = ev.capacity
-        return True
-    # abort
-    if ev.job not in residual or residual[ev.job] <= 0:
-        return False
-    residual[ev.job] = Fraction(0)
-    aborted[ev.job] = t
-    return True
-
-
 # ---------------------------------------------------------------------------
 # The segmented runner
 # ---------------------------------------------------------------------------
@@ -232,89 +198,62 @@ def run_with_faults(
     if checkpoint_every is not None and checkpoint_every < 1:
         raise ValueError("checkpoint_every must be >= 1")
     obs, metrics = setup_observer(observer, collect_stats, env=False)
-    events = plan.events
-    if from_checkpoint is None:
+    cp = from_checkpoint
+    if cp is None:
         t = 0
         residual = {
             job.id: job.total_requirement for job in instance.jobs
         }
         completed: Dict[int, int] = {}
         aborted: Dict[int, int] = {}
-        down: Set[int] = set()
-        capacity = [Fraction(1)]
-        next_event = 0
+        machine = Machine(plan, instance.m)
     else:
-        cp = from_checkpoint
         t = cp.t
         residual = dict(cp.residual)
         completed = dict(cp.completed)
         aborted = dict(cp.aborted)
-        down = set(cp.down)
-        capacity = [Fraction(cp.capacity)]
-        next_event = cp.next_event
+        machine = Machine(
+            plan, instance.m, cp.down, cp.capacity, cp.next_event
+        )
+
+    def abort(ev: FaultEvent) -> bool:
+        if residual.get(ev.job, 0) <= 0:
+            return False
+        residual[ev.job] = Fraction(0)
+        aborted[ev.job] = t
+        return True
 
     segments: List[FaultSegment] = []
     checkpoints: List[Checkpoint] = []
     applied: List[Tuple[FaultEvent, bool]] = []
 
     while True:
-        while next_event < len(events) and events[next_event].t <= t:
-            ev = events[next_event]
-            next_event += 1
-            ok = _apply_event(
-                ev, instance.m, down, capacity, residual, aborted, t
-            )
-            applied.append((ev, ok))
-            if obs is not None:
-                obs.on_fault(ev, {"t": t, "applied": ok, "layer": "faults"})
+        applied += machine.advance(t, abort, obs, "faults")
         if not any(v > 0 for v in residual.values()):
             break
         if len(segments) >= max_segments:
             raise FaultRecoveryError(
                 f"fault runner exceeded {max_segments} segments"
             )
-        horizon: Optional[int] = (
-            events[next_event].t if next_event < len(events) else None
-        )
+        horizon = machine.next_time()
         if checkpoint_every is not None:
             next_cp = (t // checkpoint_every + 1) * checkpoint_every
             horizon = next_cp if horizon is None else min(horizon, next_cp)
-        m_eff = instance.m - len(down)
-        stalled = m_eff <= 0 or capacity[0] <= 0
-        if stalled:
-            if next_event >= len(events):
-                raise FaultRecoveryError(
-                    "machine stalled (no online processor or zero capacity)"
-                    " with no restoring event left in the plan"
-                )
-            # idle until the next event can change the condition
-            idle_to = events[next_event].t
-            if checkpoint_every is not None:
-                next_cp = (t // checkpoint_every + 1) * checkpoint_every
-                idle_to = min(idle_to, next_cp)
-            segments.append(
-                FaultSegment(
-                    start=t,
-                    length=idle_to - t,
-                    capacity=capacity[0],
-                    processors=tuple(
-                        p for p in range(instance.m) if p not in down
-                    ),
-                )
-            )
-            t = idle_to
+        up = machine.online
+        seg = FaultSegment(t, 0, machine.capacity, up)
+        if machine.stall(t) is not None:
+            seg.length = horizon - t  # idle to the next event or cut
         else:
-            sub, keymap = _residual_instance(instance, residual, m_eff)
-            step_limit = None if horizon is None else horizon - t
+            sub, keymap = _residual_instance(instance, residual, len(up))
             res = solve_srj(
                 sub,
                 backend=backend,
                 observer=obs,
-                budget=capacity[0],
-                step_limit=step_limit,
+                budget=machine.capacity,
+                step_limit=None if horizon is None else horizon - t,
             )
-            up = tuple(p for p in range(instance.m) if p not in down)
-            runs = [
+            seg.length = res.makespan
+            seg.runs = [
                 TraceRun.at_scale(
                     {keymap[cid]: u for cid, u in run.units.items()},
                     run.scale,
@@ -333,7 +272,7 @@ def run_with_faults(
             spent.walk(
                 ((run.units, run.scale, None, run.count)
                  for run in res.trace),
-                capacity[0], range(m_eff),
+                machine.capacity, up,
             )
             for cid, job in spent.jobs.items():
                 if job.got > job.need:
@@ -344,25 +283,17 @@ def run_with_faults(
                 residual[keymap[cid]] -= spent.value(job.got)
             for cid, ct in res.completion_times.items():
                 completed[keymap[cid]] = t + ct
-            segments.append(
-                FaultSegment(
-                    start=t,
-                    length=res.makespan,
-                    capacity=capacity[0],
-                    processors=up,
-                    runs=runs,
-                )
-            )
-            t += res.makespan
+        segments.append(seg)
+        t += seg.length
         checkpoints.append(
             Checkpoint(
                 t=t,
                 residual={j: v for j, v in residual.items() if v > 0},
                 completed=dict(completed),
                 aborted=dict(aborted),
-                down=tuple(sorted(down)),
-                capacity=capacity[0],
-                next_event=next_event,
+                down=tuple(sorted(machine.down)),
+                capacity=machine.capacity,
+                next_event=machine.next_event,
             )
         )
 
@@ -473,24 +404,7 @@ def validate_faulted(result: FaultedResult) -> ValidationReport:
             f"segments cover [{first}, {cursor}), makespan is "
             f"{result.makespan}"
         )
-    for key, job in ledger.jobs.items():
-        got, need = ledger.value(job.got), ledger.value(job.need)
-        if key in result.aborted:
-            if got > need:
-                violations.append(
-                    f"aborted job {key} over-delivered: {got} > {need}"
-                )
-            continue
-        if got != need:
-            violations.append(f"job {key} delivered {got}, needs {need}")
-        recorded = result.completion_times.get(key)
-        if recorded is None:
-            violations.append(f"job {key} has no completion time")
-        elif recorded != job.finish:
-            violations.append(
-                f"job {key}: recorded completion {recorded} != finish "
-                f"step {job.finish}"
-            )
+    _faulted_end_rules(ledger, result.completion_times, result.aborted)
     return ValidationReport(
         ok=not violations,
         violations=violations,

@@ -26,15 +26,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from ..numeric import frac_sum
 from ..obs import setup_observer
 from ..tasks.model import Task, TaskInstance
 from ..tasks.scheduler import schedule_tasks
 from ..tasks.sequential import run_sequential
-from .model import FaultEvent, FaultPlan
-from .runner import FaultRecoveryError
+from .model import FaultEvent, FaultPlan, FaultRecoveryError, Machine
 
 __all__ = ["FaultedTaskResult", "run_tasks_with_faults"]
 
@@ -80,7 +79,6 @@ def run_tasks_with_faults(
 ) -> FaultedTaskResult:
     """Execute the task set under *plan*; see the module docstring."""
     obs, metrics = setup_observer(observer, collect_stats, env=False)
-    events = plan.events
     m = instance.m
     # residual volume per (task position, job index)
     residual: Dict[Tuple[int, int], Fraction] = {
@@ -91,9 +89,7 @@ def run_tasks_with_faults(
     task_ids = [task.id for task in instance.tasks]
     completed: Dict[int, int] = {}
     aborted: Dict[int, int] = {}
-    down: Set[int] = set()
-    capacity = Fraction(1)
-    next_event = 0
+    machine = Machine(plan, m)
     t = 0
     segments: List[Tuple[int, int, Fraction, int]] = []
     applied: List[Tuple[FaultEvent, bool]] = []
@@ -104,21 +100,20 @@ def run_tasks_with_faults(
         k = len(instance.tasks[ti].requirements)
         return any(residual[(ti, i)] > 0 for i in range(k))
 
+    def abort(ev: FaultEvent) -> bool:
+        # abort cancels the whole task; the event's job field is a task id
+        if ev.job not in task_ids:
+            return False
+        ti = task_ids.index(ev.job)
+        if not task_alive(ti):
+            return False
+        for i in range(len(instance.tasks[ti].requirements)):
+            residual[(ti, i)] = Fraction(0)
+        aborted[ev.job] = t
+        return True
+
     while True:
-        while next_event < len(events) and events[next_event].t <= t:
-            ev = events[next_event]
-            next_event += 1
-            ok = _apply_task_event(
-                ev, m, down, aborted, residual, task_ids, instance, t
-            )
-            if ev.kind == "dip":
-                ok = capacity != ev.capacity
-                capacity = ev.capacity
-            applied.append((ev, ok))
-            if obs is not None:
-                obs.on_fault(
-                    ev, {"t": t, "applied": ok, "layer": "faults-tasks"}
-                )
+        applied += machine.advance(t, abort, obs, "faults-tasks")
         alive = [ti for ti in range(len(instance.tasks)) if task_alive(ti)]
         if not alive:
             break
@@ -126,16 +121,12 @@ def run_tasks_with_faults(
             raise FaultRecoveryError(
                 f"fault runner exceeded {max_segments} segments"
             )
-        horizon = events[next_event].t if next_event < len(events) else None
-        m_eff = m - len(down)
-        if m_eff <= 0 or capacity <= 0:
-            if next_event >= len(events):
-                raise FaultRecoveryError(
-                    "machine stalled (no online processor or zero capacity)"
-                    " with no restoring event left in the plan"
-                )
-            segments.append((t, events[next_event].t - t, capacity, m_eff))
-            t = events[next_event].t
+        horizon = machine.next_time()
+        m_eff = m - len(machine.down)
+        capacity = machine.capacity
+        if machine.stall(t) is not None:
+            segments.append((t, horizon - t, capacity, m_eff))
+            t = horizon
             continue
         # Listing-3 order on the residual: non-decreasing residual r(T)
         ordered = sorted(
@@ -201,41 +192,3 @@ def run_tasks_with_faults(
         fault_free_sum=fault_free,
         stats=metrics,
     )
-
-
-def _apply_task_event(
-    ev: FaultEvent,
-    m: int,
-    down: Set[int],
-    aborted: Dict[int, int],
-    residual: Dict[Tuple[int, int], Fraction],
-    task_ids: List[int],
-    instance: TaskInstance,
-    t: int,
-) -> bool:
-    """Apply one non-dip event; dips are handled by the caller."""
-    if ev.kind == "crash":
-        if ev.processor >= m or ev.processor in down:
-            return False
-        down.add(ev.processor)
-        return True
-    if ev.kind == "restore":
-        if ev.processor not in down:
-            return False
-        down.discard(ev.processor)
-        return True
-    if ev.kind == "abort":
-        # abort cancels the whole task; the event's job field is a task id
-        if ev.job not in task_ids:
-            return False
-        ti = task_ids.index(ev.job)
-        k = len(instance.tasks[ti].requirements)
-        if ev.job in aborted or not any(
-            residual[(ti, i)] > 0 for i in range(k)
-        ):
-            return False
-        for i in range(k):
-            residual[(ti, i)] = Fraction(0)
-        aborted[ev.job] = t
-        return True
-    return True  # dip: handled by caller

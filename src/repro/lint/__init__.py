@@ -5,8 +5,8 @@ paper's exact-rational analysis and the fabric's determinism guarantees
 demand (docs/STATIC_ANALYSIS.md has the full catalogue and rationale):
 
 * ``hotpath-exact``    — no Fraction/fractions/decimal in the engine hot
-  path (``engine/loop|state|policies``); replaces ``make lint-hotpath``'s
-  grep, and unlike it sees aliased imports and ignores comments;
+  path (``engine/loop|state|policies``); it sees aliased imports and
+  ignores comments and docstrings;
 * ``exact-no-float``   — no float literals, ``float()`` calls or floating
   ``math.*`` in the exact-arithmetic modules;
 * ``derived-identity`` — no clock/pid/uuid/address/unseeded-randomness

@@ -20,9 +20,9 @@ run bench|bench-srt|bench-obs``):
 * ``BENCH_3.json`` — the SRJ int kernel in three instrumentation modes:
   ``base`` (``observer=None``, the bare loop), ``noop``
   (``observer=NULL_OBSERVER``, pure dispatch overhead) and ``stats``
-  (``collect_stats=True``).  The summary gates the relative overheads:
-  ``noop`` within :data:`GATE_NOOP` (5%) of ``base`` and ``stats`` within
-  :data:`GATE_STATS` (30%).
+  (``collect_stats=True``).  The summary gates the relative overheads,
+  each the median of the per-rep ratios to ``base``: ``noop`` within
+  :data:`GATE_NOOP` (5%) and ``stats`` within :data:`GATE_STATS` (30%).
 
 Timing columns ``*_s`` are the **median** of ``reps`` samples, with the
 mean alongside as ``*_mean_s``; every summary records the process's peak
@@ -64,6 +64,10 @@ GATE_NOOP = 0.05
 GATE_STATS = 0.30
 
 MODES = ("base", "noop", "stats")
+
+#: code-version salt of the observer-overhead points, apart from SCHEMA:
+#: the overheads became paired medians, so no point timed before is reused
+OBS_VERSION = f"v{SCHEMA}-paired"
 
 #: solves per timed observer-mode sample — a single small-scale solve is
 #: only a few ms, where OS jitter alone swings samples by ±5%; batching
@@ -356,19 +360,20 @@ def _bench_obs_point(params: Dict) -> Dict[str, object]:
             times[mode].append((time.perf_counter() - t0) / INNER)
     med = {mode: statistics.median(times[mode]) for mode in MODES}
     mean = {mode: sum(times[mode]) / reps for mode in MODES}
-    # the gate ratio uses each mode's *fastest* batched sample: the min of
-    # a multi-solve batch is the best proxy for noise-free kernel time
-    # (ambient load only ever inflates samples), while the median of two
-    # independently-noisy series can swing the ratio by more than the
-    # no-op gate itself on a busy host
-    best = {mode: min(times[mode]) for mode in MODES}
+    # the gate ratio is the median of the per-rep ratios: one rep times the
+    # three modes back to back, so a drift of the host's speed cancels in
+    # its ratio, and the median drops the reps a burst of load hit (a ratio
+    # of per-mode minima moves with one lucky sample by more than a gate)
+    paired = {mode: statistics.median(
+        t / b for t, b in zip(times[mode], times["base"])
+    ) for mode in ("noop", "stats")}
     return {
         "m": m, "n": n, "makespan": makespans["base"],
         "base_s": round(med["base"], 6),
         "noop_s": round(med["noop"], 6),
         "stats_s": round(med["stats"], 6),
-        "noop_overhead": round(best["noop"] / best["base"] - 1.0, 4),
-        "stats_overhead": round(best["stats"] / best["base"] - 1.0, 4),
+        "noop_overhead": round(paired["noop"] - 1.0, 4),
+        "stats_overhead": round(paired["stats"] - 1.0, 4),
         "base_mean_s": round(mean["base"], 6),
         "noop_mean_s": round(mean["noop"], 6),
         "stats_mean_s": round(mean["stats"], 6),
@@ -382,7 +387,9 @@ def bench_obs_spec(
     p = scale_grid("obs", scale)
     reps = reps if reps is not None else p["reps"][0]
     params = [{"m": m, "n": n} for m, n in p["shapes"]]
-    return _timing_spec("bench-obs", _bench_obs_point, params, seed, reps)
+    return _timing_spec(
+        "bench-obs", _bench_obs_point, params, seed, reps, OBS_VERSION
+    )
 
 
 def summarize_obs(rows: List[Dict]) -> Dict[str, object]:
@@ -405,7 +412,8 @@ def summarize_obs(rows: List[Dict]) -> Dict[str, object]:
 
 
 def _timing_spec(
-    name: str, run_point, params: List[Dict], seed: int, reps: int
+    name: str, run_point, params: List[Dict], seed: int, reps: int,
+    version: str = f"v{SCHEMA}",
 ) -> SweepSpec:
     """A serial timing spec: point *i* gets ``seed_for(seed, i)`` and
     *reps* after its grid parameters."""
@@ -414,7 +422,7 @@ def _timing_spec(
         for i, p in enumerate(params)
     ]
     return SweepSpec.from_points(
-        name, run_point, points, version=f"v{SCHEMA}", serial=True
+        name, run_point, points, version=version, serial=True
     )
 
 

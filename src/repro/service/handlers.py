@@ -197,6 +197,8 @@ def _handle_simulate(params: Dict) -> Dict:
         "makespan": result.makespan,
         "completion_times": _completion_times(result),
         "aborted": {str(j): t for j, t in sorted(result.aborted.items())},
+        "valid": result.report.ok,
+        "violations": list(result.report.violations[:20]),
     }
 
 
@@ -279,10 +281,12 @@ def execute_request(task: Dict) -> Dict:
 
     *task* carries ``method``, ``params`` and ``allow_faults``.  Returns
     ``{"ok": True, "result": ...}`` or ``{"ok": False, "error": {...}}``
-    — parameter problems map to ``invalid_params``, anything unexpected
-    to ``internal``.  The only ways this function does *not* return are
-    the infrastructure failures the daemon is built to absorb: the
-    process dying or the deadline expiring.
+    — parameter problems and a fault plan that stalls the machine for
+    good (:class:`~repro.faults.FaultRecoveryError`) map to
+    ``invalid_params``, anything unexpected to ``internal``.  The only
+    ways this function does *not* return are the infrastructure failures
+    the daemon is built to absorb: the process dying or the deadline
+    expiring.
     """
     method = task.get("method")
     params = task.get("params") or {}
@@ -307,6 +311,10 @@ def execute_request(task: Dict) -> Dict:
             E_INVALID_PARAMS, f"{method}: {exc}"
         )
     except Exception as exc:  # noqa: BLE001 - the isolation contract
+        from ..faults.model import FaultRecoveryError
+
+        stalled = isinstance(exc, FaultRecoveryError)  # the plan's doing
         return _error_envelope(
-            E_INTERNAL, f"{method}: {type(exc).__name__}: {exc}"
+            E_INVALID_PARAMS if stalled else E_INTERNAL,
+            f"{method}: {type(exc).__name__}: {exc}",
         )

@@ -200,6 +200,13 @@ def _phase_basics(client: ServiceClient, reference: Dict) -> None:
         isinstance(sim.get("makespan"), int) and sim["makespan"] > 0,
         "simulate returned no makespan",
     )
+    faulted = client.call_checked(
+        "simulate", {**_WORKLOAD, "policy": "list", "fault_seed": 7}
+    )
+    _check(
+        faulted.get("valid") is True,
+        f"faulted simulate not certified: {faulted.get('violations')}",
+    )
     stats = client.call_checked("stats", dict(_WORKLOAD))
     _check(stats.get("valid") is True, "stats validity cross-check failed")
     _check(
@@ -212,7 +219,10 @@ def _phase_basics(client: ServiceClient, reference: Dict) -> None:
         and isinstance(status.get("metrics"), dict),
         "status response lacks protocol/metrics",
     )
-    _note("basics: ping/solve/simulate/stats OK (solve bit-identical)")
+    _note(
+        "basics: ping/solve/simulate/stats OK (solve bit-identical, "
+        "faulted simulate certified)"
+    )
 
 
 def _phase_malformed_isolation(host: str, port: int) -> None:
