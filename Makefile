@@ -48,11 +48,14 @@ obs-smoke:
 perf-check:
 	$(PYTHON) -m repro.analysis.profiling
 
-# fault-injection smoke: random instances x random FaultPlans through the
-# hardened parallel runner; exits non-zero if any recovered schedule fails
-# validation, plus a CLI degradation-report round-trip
+# fault-injection smoke: the small faultsweep (random instances x random
+# FaultPlans) on the sweep fabric against a throwaway cache and report path;
+# exits non-zero if any recovered schedule fails validation, plus a CLI
+# degradation-report round-trip
 faults-smoke:
-	$(PYTHON) -m repro.perf.faultsweep --trials 8 -m 4 -n 16 --events 5
+	cache=$$(mktemp -d); trap 'rm -rf "$$cache"' EXIT; \
+		$(PYTHON) -m repro sweep run faultsweep --scale small \
+		--cache-dir "$$cache" -o "$$cache/FAULTSWEEP.json"
 	$(PYTHON) -m repro faults -m 4 -n 24 --fault-seed 7 --json > /dev/null
 	@echo "faults-smoke: OK"
 

@@ -39,7 +39,6 @@ from .core import (
     Instance,
     Job,
     Schedule,
-    SchedulerState,
     SRJResult,
     UnitSizeScheduler,
     assert_result_valid,
@@ -69,7 +68,6 @@ __all__ = [
     "Job",
     "make_job",
     "Schedule",
-    "SchedulerState",
     "SRJResult",
     "UnitSizeScheduler",
     "schedule_srj",

@@ -11,7 +11,6 @@ from .instance import Instance
 from .job import Job, JobPiece, make_job
 from .schedule import Schedule, Step
 from .scheduler import SRJResult, TraceRun, schedule_srj
-from .state import SchedulerState
 from .unit import UnitSizeScheduler, schedule_unit, unit_guarantee
 from .validate import (
     ScheduleError,
@@ -29,7 +28,6 @@ __all__ = [
     "make_job",
     "Schedule",
     "Step",
-    "SchedulerState",
     "SRJResult",
     "TraceRun",
     "schedule_srj",

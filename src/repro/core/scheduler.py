@@ -22,8 +22,8 @@ The step loop lives in :mod:`repro.engine`: one routine,
 :func:`~repro.engine.policies.window_step`, computes the window and the
 assignment, and :class:`~repro.engine.policies.SlidingWindowPolicy` adds
 the bulk horizon; :func:`repro.engine.api.solve_srj` runs it on either
-numeric backend (``window_size=`` / ``enable_move=`` select the E7
-ablations).  This module keeps :func:`schedule_srj`, the exact-rational
+numeric backend (``enable_move=False`` is the E7 ablation; ``window_size=``
+caps the window below m - 1).  This module keeps :func:`schedule_srj`, the exact-rational
 quickstart entry point, and re-exports the trace types
 (:class:`TraceRun`, :class:`SRJResult`, defined in
 :mod:`repro.engine.trace`).

@@ -24,10 +24,10 @@ makespan.  :func:`assert_valid` / :func:`assert_result_valid` raise
 plan (:func:`repro.faults.validate_faulted` and the simulator's
 certificate) share one set of end rules, :func:`_faulted_end_rules`.
 
-:func:`window_violations` checks the other half of the algorithm's
-contract: Definition 3.1's job-window properties of one window against
-an engine state (``J(t-1)`` before the step).  A *job window*
-``W ⊆ J(t-1)`` for time step ``t`` satisfies
+The ledger also checks the other half of the algorithm's contract,
+Definition 3.1, for one window at a time (:meth:`_Ledger.window_faults`),
+against ``J(t)``, the jobs it has not seen finish after the steps walked
+so far.  A *job window* ``W ⊆ J(t-1)`` for time step ``t`` satisfies
 
 (a) contiguity: jobs of ``J(t-1)`` between two window members are members;
 (b) ``r(W \\ {max W}) < R`` (all but the rightmost job fit fully into the
@@ -41,14 +41,15 @@ an engine state (``J(t-1)`` before the step).  A *job window*
 (f) ``r(W) < R  ⇒  R_t(W) = ∅`` (resource-deficient windows hug the right
     border).
 
-Windows are sorted lists of job ids; the *universe* is the sorted list of
-eligible unfinished job ids (``J(t-1)`` by default).
+A job is *started* if it received something and has not finished, and
+*fractured* if it has not finished and its undelivered amount is not a
+multiple of ``r_j``.  ``L_t(W)``/``R_t(W)`` are the jobs of ``J(t-1)``
+left of ``min W`` and right of ``max W``; ``R_t(∅) = J(t-1)``.
 """
 
 from __future__ import annotations
 
 import math
-from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import TYPE_CHECKING, Dict, List, Mapping, Optional, Sequence
@@ -58,7 +59,6 @@ from .instance import Instance
 from .schedule import Schedule
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from ..engine.state import EngineState
     from .scheduler import SRJResult
 
 
@@ -115,6 +115,11 @@ class _Ledger:
     *jobs* yields ``(key, r_j, p_j)`` with ``r_j`` an integer at *scale*
     and ``s_j = p_j·r_j``.  Amounts are integers at :attr:`scale`, the LCM
     of every scale met so far; violations are appended to *violations*.
+
+    The first window check (:meth:`window_faults`) builds ``J(t)`` and
+    the count of started jobs from the ledger; from then on :meth:`walk`
+    and :meth:`abort` keep them at O(1) per job that starts or finishes,
+    so a validator that checks no window never pays for them.
     """
 
     def __init__(self, scale: int, jobs, violations: List[str]) -> None:
@@ -124,6 +129,13 @@ class _Ledger:
         self.t = 0  # steps walked; the next run starts at step t + 1
         #: a scale met so far -> self.scale // it
         self._factor: Dict[int, int] = {scale: 1}
+        #: J(t) as a doubly linked list of keys (None past either border;
+        #: a job that left keeps its last neighbours) and its first key,
+        #: and the number of started jobs; None until the first check
+        self._prev: Optional[Dict] = None
+        self._next: Dict = {}
+        self._head = None
+        self.started = 0
 
     def value(self, amount: int) -> Fraction:
         return Fraction(amount, self.scale)
@@ -136,6 +148,99 @@ class _Ledger:
             self._admit(den)
         job = self.jobs[key]
         job.got = job.need - num * self._factor[den]
+
+    def abort(self, key, step: int) -> None:
+        """Book job *key* as cancelled at *step*: it finishes there with
+        what it received so far."""
+        job = self.jobs[key]
+        if job.finish is None:
+            job.finish = step
+            if self._prev is not None:
+                self.started -= job.got > 0
+                self._leave(key)
+
+    def _track(self) -> None:
+        """Build ``J(t)`` and the started count from the ledger."""
+        keys = sorted(k for k, job in self.jobs.items() if job.finish is None)
+        self._prev = dict(zip(keys, [None] + keys[:-1]))
+        self._next = dict(zip(keys, keys[1:] + [None]))
+        self._head = keys[0] if keys else None
+        self.started = sum(1 for k in keys if self.jobs[k].got)
+
+    def _leave(self, key) -> None:
+        """Unlink *key* from ``J(t)``."""
+        prev, nxt = self._prev, self._next
+        p, q = prev[key], nxt[key]
+        if p is None:
+            self._head = q
+        else:
+            nxt[p] = q
+        if q is not None:
+            prev[q] = p
+
+    def neighbours(self, key):
+        """The jobs of ``J(t)`` next to *key* on its left and right (None
+        past a border); for a job that left ``J(t)``, its neighbours when
+        it left."""
+        if self._prev is None:
+            self._track()
+        return self._prev.get(key), self._next.get(key)
+
+    def window_faults(self, window: Sequence, k: int, capacity) -> List[str]:
+        """The Definition 3.1 properties that the sorted *window* violates
+        as a k-maximal job window for step ``t + 1`` under the resource
+        budget *capacity*, in O(|W|): ``'a'`` contiguity, ``'b'``
+        resource-minus-max, ``'c'`` at most one fractured, ``'d'`` started
+        jobs inside, ``'size'`` |W| ≤ k, ``'e'`` left-maximality, ``'f'``
+        right-maximality.  A member outside ``J(t)`` violates (a); (e) and
+        (f) then read its neighbours when it left.  Call it between walks:
+        a walk keeps ``J(t)`` only if it was built when the walk began."""
+        if self._prev is None:
+            self._track()
+        num, den = capacity.as_integer_ratio()
+        if den not in self._factor:
+            self._admit(den)
+        cap = num * self._factor[den]
+        jobs, nxt = self.jobs, self._next
+        contiguous = True
+        req = last_req = fractured = started = 0
+        last = None
+        for j in window:
+            job = jobs.get(j)
+            if job is None or job.finish is not None:
+                contiguous = False
+                if job is None:
+                    continue
+            else:
+                got = job.got
+                if got:
+                    started += 1
+                    fractured += (job.need - got) % job.req > 0
+                if contiguous and last is not None and nxt[last] != j:
+                    contiguous = False
+            last, last_req = j, job.req
+            req += last_req
+        faults = []
+        if not contiguous:
+            faults.append("a")
+        if window and req - last_req >= cap:
+            faults.append("b")
+        if fractured > 1:
+            faults.append("c")
+        if started < self.started:
+            faults.append("d")
+        if len(window) > k:
+            faults.append("size")
+        if window:
+            left = self._prev.get(window[0])
+            right = nxt.get(window[-1])
+        else:
+            left, right = None, self._head
+        if len(window) < k and left is not None:
+            faults.append("e")
+        if req < cap and right is not None:
+            faults.append("f")
+        return faults
 
     def _admit(self, den: int) -> int:
         """Make *den* divide the scale, rescaling every amount; return the
@@ -166,6 +271,7 @@ class _Ledger:
         if den not in factor:
             self._admit(den)
         cap, slots, t = num * factor[den], len(online), self.t
+        track = self._prev is not None  # keep J(t) once a window was checked
 
         def bad(step: int, what: str) -> None:
             violations.append(f"{where.format(t=step, i=i)}: {what}")
@@ -221,12 +327,18 @@ class _Ledger:
                         job.idle = start
                     continue
                 got = job.got + count * v
-                if job.finish is None and got >= job.need:
-                    steps = -((job.got - job.need) // v)  # ⌈(s_j - got)/v⌉
-                    job.finish = start + steps - 1
-                    if steps < count:
-                        bad(job.finish + 1, f"job {j} processed after "
-                            f"finishing at step {job.finish}")
+                if job.finish is None:
+                    if got >= job.need:
+                        steps = -((job.got - job.need) // v)  # ⌈(s_j-got)/v⌉
+                        job.finish = start + steps - 1
+                        if steps < count:
+                            bad(job.finish + 1, f"job {j} processed after "
+                                f"finishing at step {job.finish}")
+                        if track:
+                            self.started -= job.got > 0
+                            self._leave(j)
+                    elif track and not job.got:
+                        self.started += 1
                 job.got = got
             if total > cap:
                 bad(start, f"resource overused ({self.value(total)} > "
@@ -375,98 +487,3 @@ def assert_result_valid(
 ) -> None:
     """Streaming variant of :func:`assert_valid` for scheduler results."""
     _raise_on(validate_result(result, budget, require_all_finished))
-
-
-# ---------------------------------------------------------------------------
-# Definition 3.1 — job-window properties
-# ---------------------------------------------------------------------------
-
-
-def left_neighbors(
-    universe: Sequence[int], window: Sequence[int]
-) -> List[int]:
-    """``L_t(W)`` relative to *universe*: eligible ids < min(W)."""
-    if not window:
-        return []
-    return list(universe[: bisect_left(universe, window[0])])
-
-
-def right_neighbors(
-    universe: Sequence[int], window: Sequence[int]
-) -> List[int]:
-    """``R_t(W)`` relative to *universe*: eligible ids > max(W).
-
-    For an empty window this is the whole universe (paper convention
-    ``R_t(∅) := J(t-1)``).
-    """
-    if not window:
-        return list(universe)
-    return list(universe[bisect_right(universe, window[-1]):])
-
-
-def window_requirement(state: "EngineState", window: Sequence[int]):
-    """``r(W) = Σ_{j∈W} r_j`` (full requirements, not remaining)."""
-    total = state.zero
-    for j in window:
-        total += state.req[j]
-    return total
-
-
-def window_requirement_without_max(
-    state: "EngineState", window: Sequence[int]
-):
-    """``r(W \\ {max W})`` of a sorted window."""
-    return window_requirement(state, window[:-1])
-
-
-def window_violations(
-    state: "EngineState",
-    window: Sequence[int],
-    k: int,
-    budget,
-    universe: Optional[Sequence[int]] = None,
-) -> List[str]:
-    """Return the Definition 3.1 properties violated by *window* (empty list
-    if the window is a k-maximal job window for the current state).
-
-    Property names: ``'a'`` contiguity, ``'b'`` resource-minus-max, ``'c'``
-    at most one fractured, ``'d'`` started jobs inside, ``'size'`` |W| ≤ k,
-    ``'e'`` left-maximality, ``'f'`` right-maximality.  *budget* is in the
-    state's working domain.
-    """
-    if universe is None:
-        universe = state.unfinished()
-    violations: List[str] = []
-    ordered = sorted(window)
-    if ordered:
-        lo_i = bisect_left(universe, ordered[0])
-        hi_i = bisect_right(universe, ordered[-1])
-        if list(universe[lo_i:hi_i]) != ordered:
-            violations.append("a")
-        if window_requirement_without_max(state, ordered) >= budget:
-            violations.append("b")
-    if sum(1 for j in window if state.is_fractured(j)) > 1:
-        violations.append("c")
-    members = set(window)
-    if any(j not in members and state.is_started(j) for j in universe):
-        violations.append("d")
-    if len(window) > k:
-        violations.append("size")
-    if len(window) < k and left_neighbors(universe, ordered):
-        violations.append("e")
-    if window_requirement(state, window) < budget and right_neighbors(
-        universe, ordered
-    ):
-        violations.append("f")
-    return violations
-
-
-def is_k_maximal(
-    state: "EngineState",
-    window: Sequence[int],
-    k: int,
-    budget,
-    universe: Optional[Sequence[int]] = None,
-) -> bool:
-    """True iff *window* is a k-maximal job window (Definition 3.1)."""
-    return not window_violations(state, window, k, budget, universe)

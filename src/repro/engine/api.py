@@ -158,7 +158,8 @@ def solve_srj(
     obs, metrics = setup_observer(observer, collect_stats)
     if instance.m == 1:
         result = run_serial(
-            instance, observer=obs, budget=budget, step_limit=step_limit
+            instance, observer=obs, budget=budget, step_limit=step_limit,
+            backend=backend,
         )
         result.stats = metrics
         return result
@@ -228,26 +229,26 @@ def run_serial(
     observer=None,
     budget: Fraction = Fraction(1),
     step_limit: Optional[int] = None,
+    backend: str = "auto",
 ) -> SRJResult:
     """Trivial optimal scheduler for m = 1: run jobs one at a time, each
     receiving ``min(r_j, budget)`` per step.
 
     This path never enters the engine loop; when an *observer* is
-    installed it receives one synthetic decision per emitted trace run so
-    downstream telemetry (stats, JSONL traces) stays uniform.
+    installed it receives one synthetic decision per emitted trace run,
+    its shares in the working domain of *backend*'s context at the run's
+    scale, so downstream telemetry (stats, JSONL traces) stays uniform.
     *step_limit* truncates the run exactly like the engine loop's bound.
     """
     result = SRJResult(instance=instance, makespan=0, completion_times={})
+    # integers at the run's scale D = lcm(L, den(budget))
+    scale = math.lcm(instance.scale, budget.denominator)
     obs_state = None
     if observer is not None:
-        from .backends.fraction import FractionContext
-
-        obs_state = _SerialObsState(FractionContext())
+        obs_state = _SerialObsState(make_context(backend, scale))
         observer.on_run_start(
             _run_meta("srj-serial", obs_state.ctx, instance.m, instance.n)
         )
-    # integers at the run's scale D = lcm(L, den(budget))
-    scale = math.lcm(instance.scale, budget.denominator)
     grow = scale // instance.scale
     cap = budget.numerator * (scale // budget.denominator)
 
@@ -263,7 +264,7 @@ def run_serial(
         observer.on_decision(
             obs_state,
             StepDecision(
-                shares=run.shares,
+                shares={job_id: obs_state.ctx.from_units([share], scale)[0]},
                 count=count,
                 case=run.case,
                 window=run.window,

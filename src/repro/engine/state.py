@@ -108,44 +108,14 @@ class EngineState:
         """``J(t)`` — keys of unfinished jobs, ascending (canonical order)."""
         return list(self._unfinished)
 
-    def n_unfinished(self) -> int:
-        return self.unfinished_count
-
-    def is_finished(self, job_id) -> bool:
-        return self.remaining[job_id] <= 0
-
     def is_started(self, job_id) -> bool:
         """Started := has received resource but is not finished."""
         rem = self.remaining[job_id]
         return rem < self.total[job_id] and rem > 0
 
-    def is_fractured(self, job_id) -> bool:
-        """``s_j(t)`` is not an integer multiple of ``r_j`` (and > 0)."""
-        rem = self.remaining[job_id]
-        if rem <= 0:
-            return False
-        return rem % self.req[job_id] != 0
-
-    def fractured_remainder(self, job_id):
-        """``q_j(t)``: the part of ``s_j(t)`` modulo ``r_j``, in [0, r_j)."""
-        return self.remaining[job_id] % self.req[job_id]
-
     def started_jobs(self) -> List:
         """All started (and unfinished) jobs."""
         return [j for j in self._unfinished if self.is_started(j)]
-
-    def fractured_jobs(self) -> List:
-        """All fractured (unfinished) jobs."""
-        return [j for j in self._unfinished if self.is_fractured(j)]
-
-    def free_processors(self) -> List[int]:
-        """Processors not owned by a running job and not down, ascending."""
-        return [
-            p
-            for p in range(self.m)
-            if p not in self._busy_processors
-            and p not in self._down_processors
-        ]
 
     def available_processors(self) -> int:
         """Number of processors currently online."""
@@ -154,28 +124,6 @@ class EngineState:
     # ------------------------------------------------------------------
     # Mutation
     # ------------------------------------------------------------------
-
-    def processor_for(self, job_id) -> int:
-        """Processor owning *job_id*, assigning the lowest free one on first
-        use.
-
-        Raises :class:`RuntimeError` if all processors are busy — that would
-        mean the caller scheduled more than ``m`` concurrent jobs.
-        """
-        if job_id in self.processor_of and not self.is_finished(job_id):
-            return self.processor_of[job_id]
-        for p in range(self.m):
-            if (
-                p not in self._busy_processors
-                and p not in self._down_processors
-            ):
-                self.processor_of[job_id] = p
-                self._busy_processors.add(p)
-                return p
-        raise RuntimeError(
-            f"no free processor for job {job_id}: more than m={self.m}"
-            " concurrent jobs scheduled"
-        )
 
     def force_finish(self, job_id) -> List:
         """Abort *job_id*: zero its remaining work, record completion at
@@ -191,53 +139,6 @@ class EngineState:
         if proc is not None:
             self._busy_processors.discard(proc)
         return [job_id]
-
-    def _apply(self, shares: Dict, count: int, check_negative: bool) -> List:
-        """Subtract ``count`` copies of *shares*, advance ``t``, record
-        completions, release processors of finished jobs."""
-        finished: List = []
-        remaining = self.remaining
-        for job_id, share in shares.items():
-            if share == 0:
-                continue
-            if check_negative and share < 0:
-                raise ValueError(f"negative share for job {job_id}")
-            rem = remaining[job_id] - count * share
-            if rem <= 0:
-                rem = self.zero
-                finished.append(job_id)
-            remaining[job_id] = rem
-        self.t += count
-        if finished:
-            self._finished.extend(finished)
-            self.unfinished_count -= len(finished)
-            for j in finished:
-                self.completion_times[j] = self.t
-                proc = self.processor_of.get(j)
-                if proc is not None:
-                    self._busy_processors.discard(proc)
-        return finished
-
-    def apply_step(self, shares: Dict) -> List:
-        """Apply one time step of resource *shares* (job key -> share).
-
-        Shares are assumed already capped at ``min(r_j, s_j(t-1))`` by the
-        assignment layer.  Returns the list of jobs finished in this step and
-        releases their processors.  Advances ``t`` by one.
-        """
-        return self._apply(shares, 1, check_negative=True)
-
-    def apply_bulk(self, shares: Dict, k: int) -> List:
-        """Apply *k* identical steps at once (the fast-path of Theorem 3.3).
-
-        The caller guarantees that the share vector would be recomputed
-        identically for each of the ``k`` steps (no job finishes before the
-        last step, no fracture-status change alters the assignment).  Jobs
-        finishing exactly at the ``k``-th step are returned.
-        """
-        if k < 1:
-            raise ValueError("k must be >= 1")
-        return self._apply(shares, k, check_negative=False)
 
     def apply_decision(self, decision: StepDecision) -> List:
         """Apply one policy :class:`StepDecision`: assign processors, record
@@ -268,8 +169,29 @@ class EngineState:
             self.trace.append(
                 (shares, procs, decision.count, decision.case, decision.window)
             )
+        # subtract count copies of the shares, release finished jobs
         count = decision.count
-        finished = self._apply(shares, count, check_negative=True)
+        finished: List = []
+        remaining = self.remaining
+        for job_id, share in shares.items():
+            if share == 0:
+                continue
+            if share < 0:
+                raise ValueError(f"negative share for job {job_id}")
+            rem = remaining[job_id] - count * share
+            if rem <= 0:
+                rem = self.zero
+                finished.append(job_id)
+            remaining[job_id] = rem
+        self.t += count
+        if finished:
+            self._finished.extend(finished)
+            self.unfinished_count -= len(finished)
+            for j in finished:
+                self.completion_times[j] = self.t
+                proc = self.processor_of.get(j)
+                if proc is not None:
+                    self._busy_processors.discard(proc)
         if decision.full_jobs_step:
             self.steps_full_jobs += count
         if decision.full_resource_step:

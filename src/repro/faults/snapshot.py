@@ -3,9 +3,9 @@
 Two snapshot granularities exist:
 
 * :class:`StateSnapshot` — a point-in-time copy of an
-  :class:`~repro.engine.state.EngineState` (equivalently a
-  :class:`~repro.core.state.SchedulerState`) with every working-domain
-  quantity converted to an exact :class:`~fractions.Fraction`.  It is a
+  :class:`~repro.engine.state.EngineState` on either backend, with every
+  working-domain quantity converted to an exact
+  :class:`~fractions.Fraction`.  It is a
   plain dataclass of dicts/ints — picklable as-is — and round-trips
   through JSON with the same ``"p/q"`` exact-fraction convention as the
   JSONL traces.  :meth:`StateSnapshot.restore` rebuilds a live state on

@@ -21,28 +21,31 @@ ledger certifies the finished run with the end rules of
 restore processors, dip the budget or abort a job, and the policy under
 test copes live.  A started job gives up its processor when the processor
 crashes or a forced step drops it.  A stalled machine idles until the
-next event without asking the policy, and raises
-:class:`~repro.faults.FaultRecoveryError` when no event is left or the
-next one falls past ``max_steps``.
+next event without asking the policy, in one run-length row of the
+result (:attr:`SimulationResult.schedule` expands the rows on first
+read), and raises :class:`~repro.faults.FaultRecoveryError` when no event
+is left or the next one falls past ``max_steps``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from types import SimpleNamespace
 from typing import Dict, List, Optional, Protocol
 
 from ..core.instance import Instance
 from ..core.schedule import Schedule
-from ..core.state import SchedulerState
 from ..core.validate import (
     ValidationReport,
     _faulted_end_rules,
     _srj_ledger,
     exact_run,
 )
+from ..engine.api import _srj_state
 from ..engine.loop import StepDecision, run_loop
+from ..engine.state import EngineState
 
 
 class PolicyViolation(RuntimeError):
@@ -52,7 +55,7 @@ class PolicyViolation(RuntimeError):
 class Policy(Protocol):
     """Online scheduling policy."""
 
-    def decide(self, state: SchedulerState) -> Dict[int, Fraction]:
+    def decide(self, state: EngineState) -> Dict[int, Fraction]:
         """Share vector for the next step given the current state."""
         ...  # pragma: no cover - protocol
 
@@ -61,7 +64,11 @@ class Policy(Protocol):
 class SimulationResult:
     """Trace-level outcome of an engine run."""
 
-    schedule: Schedule
+    instance: Instance
+    #: the vetted steps as the engine's run-length trace rows ``(shares,
+    #: processors, count, case, window)``; a stall is one row
+    runs: List = field(default_factory=list, repr=False)
+    makespan: int = 0
     completion_times: Dict[int, int] = field(default_factory=dict)
     #: job id -> step an injected ``abort`` event cancelled it (subset of
     #: ``completion_times`` keys — a forced finish records its step there)
@@ -71,9 +78,15 @@ class SimulationResult:
     #: the finished run's certificate (the fault-plan end rules)
     report: Optional[ValidationReport] = None
 
-    @property
-    def makespan(self) -> int:
-        return self.schedule.makespan
+    @cached_property
+    def schedule(self) -> Schedule:
+        """The run step by step, built on first read."""
+        schedule = Schedule(instance=self.instance)
+        for shares, procs, count, _case, _window in self.runs:
+            pieces = {j: (procs[j], share) for j, share in shares.items()}
+            for _ in range(count):
+                schedule.append_step(pieces)
+        return schedule
 
 
 class SimulationEngine:
@@ -113,14 +126,18 @@ class SimulationEngine:
         obs, metrics = setup_observer(self.observer, self.collect_stats)
         instance = self.instance
         with span(obs, "scale"):
-            state = SchedulerState(instance)
-            state.trace = []  # record vetted steps for the Schedule
             machine = Machine(self.fault_plan, instance.m)
-            # the state's offline processors are the machine's
-            state._down_processors = machine.down
-            # live per-step budget, visible to capacity-aware policies
-            state.capacity = min(self.budget, machine.capacity)
             ledger = _srj_ledger(instance, [])
+            # the engine's exact state, plus what the policies read: the
+            # instance, the live budget, the machine's offline processors
+            # and the run's ledger (J(t) for the window check)
+            _scale, state = _srj_state(
+                "fraction", instance, self.budget, record_trace=True
+            )
+            state.instance = instance
+            state.capacity = min(self.budget, machine.capacity)
+            state._down_processors = machine.down
+            state.ledger = ledger
         if obs is not None:
             obs.on_run_start(
                 {
@@ -142,10 +159,11 @@ class SimulationEngine:
         def abort(ev) -> bool:
             if not state.force_finish(ev.job):
                 return False
-            aborted[ev.job] = ledger.jobs[ev.job].finish = state.t
+            ledger.abort(ev.job, state.t)
+            aborted[ev.job] = state.t
             return True
 
-        def decide(st: SchedulerState) -> StepDecision:
+        def decide(st: EngineState) -> StepDecision:
             # run_loop counts decisions, and a stall is one decision
             if st.t >= max_steps:
                 raise overrun()
@@ -189,32 +207,27 @@ class SimulationEngine:
             except _AllJobsAborted:
                 pass
         with span(obs, "emit"):
-            schedule = Schedule(instance=instance)
-            for shares, procs, count, _case, _window in state.trace:
-                pieces = {
-                    job_id: (procs[job_id], share)
-                    for job_id, share in shares.items()
-                }
-                for _ in range(count):
-                    schedule.append_step(pieces)
+            _faulted_end_rules(ledger, state.completion_times, aborted)
+            result = SimulationResult(
+                instance=instance,
+                runs=state.trace,
+                makespan=state.t,
+                completion_times=dict(state.completion_times),
+                aborted=aborted,
+                stats=metrics,
+                report=ValidationReport(
+                    not ledger.violations, ledger.violations, state.t
+                ),
+            )
         if obs is not None:
             obs.on_run_end(
                 state, {"layer": "simulator", "makespan": state.t}
             )
-        _faulted_end_rules(ledger, state.completion_times, aborted)
-        return SimulationResult(
-            schedule=schedule,
-            completion_times=dict(state.completion_times),
-            aborted=aborted,
-            stats=metrics,
-            report=ValidationReport(
-                not ledger.violations, ledger.violations, state.t
-            ),
-        )
+        return result
 
 
 def _vet(
-    state: SchedulerState,
+    state: EngineState,
     raw: Dict[int, Fraction],
     started: List[int],
     ledger,

@@ -19,13 +19,12 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Dict, List, Optional, Tuple
 
-from ..core.state import SchedulerState
-from ..core.validate import window_violations
 from ..engine.policies import window_step
+from ..engine.state import EngineState
 
 
 def _continue_started(
-    state: SchedulerState, started: List[int], budget: Fraction, online: int
+    state: EngineState, started: List[int], budget: Fraction, online: int
 ) -> Tuple[Dict[int, Fraction], Fraction]:
     """Shares that continue the *started* jobs (ascending), and the part
     of *budget* they use.
@@ -69,7 +68,7 @@ class SlidingWindowPolicy:
         #: the (budget, online processors) the window was built for
         self._machine: Optional[Tuple[Fraction, int]] = None
 
-    def decide(self, state: SchedulerState) -> Dict[int, Fraction]:
+    def decide(self, state: EngineState) -> Dict[int, Fraction]:
         budget, online = state.capacity, state.available_processors()
         if (budget, online) != self._machine:
             self._machine, self._window = (budget, online), None
@@ -93,19 +92,18 @@ class SlidingWindowPolicy:
         return decision.shares
 
 
-def _restart(state: SchedulerState, started: List[int],
+def _restart(state: EngineState, started: List[int],
              universe: List[int], size: int, budget: Fraction):
     """Listing 1's step from a window of the *started* jobs, or None if
     they do not form one: the window grown from them must be a
-    *size*-maximal job window (Definition 3.1).  With no job started this
-    is Listing 1's first step."""
-    if started and {"b", "c"} & set(
-        window_violations(state, started, size, budget, universe)
-    ):
+    *size*-maximal job window (Definition 3.1, checked on the run's
+    ledger at ``J(t-1)``).  With no job started this is Listing 1's first
+    step."""
+    check = state.ledger.window_faults
+    if started and {"b", "c"} & set(check(started, size, budget)):
         return None  # window_step would raise
     step = window_step(state, started, universe, size, budget)
-    if started and window_violations(state, step[0].window, size, budget,
-                                     universe):
+    if started and check(step[0].window, size, budget):
         return None
     return step
 
@@ -125,7 +123,7 @@ class ListSchedulingPolicy:
             raise ValueError(f"unknown order {order!r}")
         self.order = order
 
-    def decide(self, state: SchedulerState) -> Dict[int, Fraction]:
+    def decide(self, state: EngineState) -> Dict[int, Fraction]:
         budget, online = state.capacity, state.available_processors()
         remaining = state.remaining
         shares, used = _continue_started(
@@ -144,7 +142,7 @@ class ListSchedulingPolicy:
                 procs -= 1
         return shares
 
-    def _key(self, state: SchedulerState):
+    def _key(self, state: EngineState):
         inst = state.instance
         if self.order == "input":
             return lambda j: j
@@ -170,7 +168,7 @@ class GreedyFillPolicy(ListSchedulingPolicy):
     def __init__(self) -> None:
         super().__init__("largest_requirement")
 
-    def decide(self, state: SchedulerState) -> Dict[int, Fraction]:
+    def decide(self, state: EngineState) -> Dict[int, Fraction]:
         shares = super().decide(state)
         if not shares:
             job_id = min(state.unfinished(),

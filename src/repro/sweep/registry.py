@@ -53,10 +53,8 @@ def _faultsweep_spec(
 
 
 def _faultsweep_summary(rows: List[Dict]) -> Dict:
-    return {
-        "trials": len(rows),
-        "invalid": sum(1 for r in rows if not r["valid"]),
-    }
+    invalid = sum(1 for r in rows if not r["valid"])
+    return {"trials": len(rows), "invalid": invalid, "passed": not invalid}
 
 
 SWEEPS: Dict[str, SweepEntry] = {

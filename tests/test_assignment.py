@@ -12,15 +12,15 @@ from fractions import Fraction
 import pytest
 
 from repro.core.instance import Instance
-from repro.core.state import SchedulerState
 from repro.engine.policies import window_step
+
+from conftest import exact_state, take_step
 
 ONE = Fraction(1)
 
 
 def make_state(reqs, m=4, sizes=None):
-    inst = Instance.from_requirements(m, reqs, sizes)
-    return SchedulerState(inst)
+    return exact_state(Instance.from_requirements(m, reqs, sizes))
 
 
 def assign(st, window, enable_move=True):
@@ -36,9 +36,18 @@ def total(decision):
     return sum(decision.shares.values(), Fraction(0))
 
 
+def is_fractured(st, j):
+    """``s_j(t)`` is positive and not a multiple of ``r_j``."""
+    return st.remaining[j] % st.req[j] != 0
+
+
+def fractured_jobs(st):
+    return [j for j in st.unfinished() if is_fractured(st, j)]
+
+
 def fractured_in(st, decision):
     """F of the step: the window jobs fractured at its start."""
-    return [j for j in decision.window if st.is_fractured(j)]
+    return [j for j in decision.window if is_fractured(st, j)]
 
 
 def fully_served(st, decision):
@@ -65,8 +74,8 @@ class TestCase1:
             m=4, sizes=[2, 2, 2],
         )
         # fracture job 0: give it 1/5 (remaining 3/5, not a multiple of 2/5)
-        st.apply_step({0: Fraction(1, 5)})
-        assert st.is_fractured(0)
+        take_step(st, {0: Fraction(1, 5)})
+        assert is_fractured(st, 0)
         a, _ = assign(st, [0, 1, 2])
         assert a.case == "case1"
         assert fractured_in(st, a) == [0]
@@ -74,10 +83,10 @@ class TestCase1:
         assert a.shares[0] == Fraction(1, 5)
         # max W gets the rest: 1 - 1/2 - 1/5 = 3/10
         assert a.shares[2] == Fraction(3, 10)
-        st.apply_step(a.shares)
-        assert not st.is_fractured(0)
+        take_step(st, a.shares)
+        assert not is_fractured(st, 0)
         # ...but max W is now the (single) fractured job
-        assert st.fractured_jobs() == [2]
+        assert fractured_jobs(st) == [2]
 
     def test_case1_full_resource_used(self):
         st = make_state(
@@ -107,8 +116,8 @@ class TestCase2:
             m=3, sizes=[1, 1, 1],
         )
         # fracture job 0 down to a sliver
-        st.apply_step({0: Fraction(2, 5)})  # remaining 1/10
-        assert st.is_fractured(0)
+        take_step(st, {0: Fraction(2, 5)})  # remaining 1/10
+        assert is_fractured(st, 0)
         a, next_window = assign(st, [0, 1])
         assert a.case == "case2"
         # iota finishes (1/10), job 1 gets 3/5 fully, leftover 3/10 starts 2
@@ -123,7 +132,7 @@ class TestCase2:
             [Fraction(1, 2), Fraction(3, 5), Fraction(7, 10)],
             m=3, sizes=[1, 1, 1],
         )
-        st.apply_step({0: Fraction(2, 5)})
+        take_step(st, {0: Fraction(2, 5)})
         # enable_move=False (ablation E7) disables the reserved start
         a, next_window = assign(st, [0, 1], enable_move=False)
         assert next_window == [0, 1]
@@ -133,7 +142,7 @@ class TestCase2:
         st = make_state(
             [Fraction(1, 2), Fraction(3, 5)], m=3, sizes=[2, 1],
         )
-        st.apply_step({0: Fraction(1, 5)})  # job0 remaining 4/5, fractured
+        take_step(st, {0: Fraction(1, 5)})  # job0 remaining 4/5, fractured
         a, _ = assign(st, [0, 1])
         assert a.case == "case2"
         # iota gets min(1 - 3/5, 4/5, 1/2) = 2/5
@@ -144,8 +153,8 @@ class TestCase2:
 class TestInvariantEnforcement:
     def test_two_fractured_jobs_rejected(self):
         st = make_state([Fraction(2, 5)] * 2, m=3, sizes=[2, 2])
-        st.apply_step({0: Fraction(1, 5), 1: Fraction(1, 5)})
-        assert len(st.fractured_jobs()) == 2
+        take_step(st, {0: Fraction(1, 5), 1: Fraction(1, 5)})
+        assert len(fractured_jobs(st)) == 2
         with pytest.raises(RuntimeError):
             assign(st, [0, 1])
 

@@ -336,10 +336,39 @@ class TestFileCommands:
         assert main(["sweep", "trace", *missing]) == 2
         assert "repro-sched: error:" in capsys.readouterr().err
 
+    def test_faultsweep_gates_on_invalid_trials(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        """The faultsweep summary records ``passed``, and ``sweep run``
+        exits 1 when a trial's recovered schedule is invalid."""
+        import dataclasses
+
+        from repro.sweep.registry import SWEEPS
+
+        entry = SWEEPS["faultsweep"]
+        assert entry.summarize([{"valid": True}]) == {
+            "trials": 1, "invalid": 0, "passed": True,
+        }
+        args = ["sweep", "run", "faultsweep", "--cache-dir", str(tmp_path),
+                "-o", str(tmp_path / "FAULTSWEEP.json")]
+        assert main(args) == 0
+        assert '"passed": true' in (tmp_path / "FAULTSWEEP.json").read_text()
+
+        def one_invalid(rows):
+            return entry.summarize([dict(rows[0], valid=False)] + rows[1:])
+
+        monkeypatch.setitem(
+            SWEEPS, "faultsweep",
+            dataclasses.replace(entry, summarize=one_invalid),
+        )
+        assert main(args) == 1
+        capsys.readouterr()
+
     def test_sweep_trace_spans_round_trip(self, tmp_path, capsys):
         cache = ["--cache-dir", str(tmp_path)]
         assert main(
-            ["sweep", "run", "faultsweep", *cache, "--trace-spans"]
+            ["sweep", "run", "faultsweep", *cache, "--trace-spans",
+             "-o", str(tmp_path / "FAULTSWEEP.json")]
         ) == 0
         capsys.readouterr()
         assert main(["sweep", "trace", "faultsweep", *cache]) == 0

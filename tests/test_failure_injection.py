@@ -12,11 +12,13 @@ import pytest
 from repro.core.instance import Instance
 from repro.core.schedule import Schedule
 from repro.core.scheduler import schedule_srj
-from repro.core.state import SchedulerState
 from repro.core.validate import validate_schedule
 from repro.engine.api import solve_srj
+from repro.engine.loop import StepDecision
 from repro.engine.policies import window_step
 from repro.simulator import PolicyViolation, SimulationEngine
+
+from conftest import exact_state, take_step
 
 
 class TestHostilePolicies:
@@ -153,15 +155,15 @@ class TestExtremeValues:
 
 class TestStateGuards:
     def test_unknown_job_share_applies_cleanly(self):
-        # apply_step on a job id the state does not track raises KeyError
+        # a step on a job id the state does not track raises KeyError
         inst = Instance.from_requirements(2, [Fraction(1, 2)])
-        st = SchedulerState(inst)
+        st = exact_state(inst)
         with pytest.raises(KeyError):
-            st.apply_step({42: Fraction(1, 2)})
+            st.apply_decision(StepDecision(shares={42: Fraction(1, 2)}))
 
     def test_assignment_empty_universe(self):
         inst = Instance.from_requirements(2, [Fraction(1, 2)])
-        st = SchedulerState(inst)
-        st.apply_step({0: Fraction(1, 2)})
+        st = exact_state(inst)
+        take_step(st, {0: Fraction(1, 2)})
         a, _ = window_step(st, [], st.unfinished(), 1, Fraction(1))
         assert a.shares == {}

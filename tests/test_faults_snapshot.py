@@ -7,7 +7,6 @@ import pytest
 
 from repro.core.instance import Instance
 from repro.core.scheduler import schedule_srj
-from repro.core.state import SchedulerState
 from repro.engine import make_context
 from repro.engine.backends import lcm_denominator
 from repro.engine.loop import StepDecision
@@ -19,15 +18,17 @@ from repro.faults import (
     snapshot_state,
 )
 
+from conftest import exact_state
+
 
 def _mid_run_state():
-    """A SchedulerState advanced a few steps by hand."""
+    """An exact engine state advanced a few steps by hand."""
     inst = Instance.from_requirements(
         3,
         [Fraction(1, 3), Fraction(1, 2), Fraction(2, 3)],
         sizes=[6, 4, 3],
     )
-    state = SchedulerState(inst)
+    state = exact_state(inst)
     for _ in range(3):
         shares = {
             j: min(state.remaining[j], state.req[j])

@@ -11,8 +11,11 @@ m = 1 machines serially (only the records of the corpus's five m = 1
 instances changed; they had all raised), and when the simulator began
 running on the fault runners' machine and the validators' rule checker
 (only fault-plan records changed: 47 that raised now finish, 8 finished
-ones changed); the SRT value comes from the
-per-task window that preceded the SRT engine's use of
+ones changed), and the SRJ value was re-recorded when m = 1 runs began
+reporting the backend they run on (only the int ``collect_stats`` records
+of the corpus's twelve m = 1 instances changed, in their
+``runs_backend.*`` and ``denominator_bits*`` telemetry); the SRT value
+comes from the per-task window that preceded the SRT engine's use of
 :class:`repro.engine.policies.UnitWindowPolicy`.  Any change to a decision
 (or to an error message on the paths that raise) shows up here as a
 digest mismatch.
@@ -47,7 +50,7 @@ from repro.tasks import TaskInstance, run_sequential, solve_srt
 from repro.workloads import make_taskset
 
 SRJ_DIGEST = (
-    "b765d2df368b62f765425ba8481ce91b84478748ff7e485c17a87c51a8c708b0"
+    "a13a9a6fc0010bfa0803ab1c84769ef92e2852649f404ae6f97b489d60f511bb"
 )
 SIMULATOR_DIGEST = (
     "838ef202aa6b1743118bf86a41b2c5b5c8a04e18d2e44bfb4d77af96dcfb4a67"

@@ -581,7 +581,7 @@ class TestSelfLint:
         seeded = {
             "repro/engine/loop.py": "from fractions import Fraction\n",
             "repro/obs/spans.py": "import time\nNOW = time.time()\n",
-            "repro/core/state.py": "EPS = 1e-9\n",
+            "repro/core/validate.py": "EPS = 1e-9\n",
             "repro/sweep/runner.py":
                 "rows = parallel_map(lambda p: p, [1, 2, 3])\n",
             "repro/tasks/scheduler.py":
@@ -590,7 +590,7 @@ class TestSelfLint:
         expected_rules = {
             "repro/engine/loop.py": "hotpath-exact",
             "repro/obs/spans.py": "derived-identity",
-            "repro/core/state.py": "exact-no-float",
+            "repro/core/validate.py": "exact-no-float",
             "repro/sweep/runner.py": "worker-safe",
             "repro/tasks/scheduler.py": "observer-threaded",
         }

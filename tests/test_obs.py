@@ -230,6 +230,28 @@ class TestStatsCrossCheck:
         assert reg.counter("steps_total") == result.makespan
         assert reg.counter("total_waste") == result.total_waste
 
+    @pytest.mark.parametrize("backend", ["fraction", "int"])
+    def test_serial_m1_reports_its_backend(self, backend, tmp_path):
+        # m = 1 computes in integers at D = lcm(L, den(budget)); the
+        # telemetry names the backend the solve asked for, at that scale,
+        # and a JSONL trace still reads back the exact shares
+        inst = _instance(0, m=1, n=10)
+        path = tmp_path / "serial.jsonl"
+        tracer = JsonlTraceObserver(str(path))
+        result = solve_srj(inst, backend=backend, observer=tracer,
+                           collect_stats=True)
+        tracer.close()
+        reg = result.stats
+        assert reg.counter(f"runs_backend.{backend}") == 1
+        assert reg.gauges["denominator_bits_max"] == (
+            inst.scale.bit_length() if backend == "int" else 1
+        )
+        runs = [r for r in read_trace(str(path)) if r["type"] == "run"]
+        assert [r["shares"] for r in runs] == [
+            {str(j): share for j, share in run.shares.items()}
+            for run in result.trace
+        ]
+
     def test_stats_histograms_populated(self):
         inst = _instance(1)
         result = solve_srj(inst, backend="int", collect_stats=True)

@@ -15,7 +15,7 @@ import time
 
 import pytest
 
-from repro.perf.faultsweep import fault_sweep
+from repro.perf.faultsweep import faultsweep_spec
 from repro.perf.parallel import (
     ParallelExecutionError,
     WorkerPool,
@@ -23,6 +23,7 @@ from repro.perf.parallel import (
     parallel_map,
     seed_for,
 )
+from repro.sweep import run_sweep
 
 
 def _square(x):
@@ -269,12 +270,14 @@ class TestJitter:
 
 class TestFaultSweep:
     def test_rows_worker_count_independent(self):
-        a = fault_sweep(trials=5, m=3, n=10, workers=1)
-        b = fault_sweep(trials=5, m=3, n=10, workers=4)
+        spec = faultsweep_spec(trials=5, m=3, n=10)
+        a = run_sweep(spec, workers=1).rows
+        b = run_sweep(spec, workers=4).rows
         assert a == b
 
     def test_all_rows_valid(self):
-        rows = fault_sweep(trials=5, m=3, n=10, workers=2)
+        spec = faultsweep_spec(trials=5, m=3, n=10)
+        rows = run_sweep(spec, workers=2).rows
         assert all(row["valid"] for row in rows)
         assert [row["seed"] for row in rows] == [
             seed_for(2026, i) for i in range(5)

@@ -8,7 +8,6 @@ from hypothesis import given, settings
 
 from repro.core.instance import Instance
 from repro.core.scheduler import schedule_srj
-from repro.core.state import SchedulerState
 from repro.core.validate import assert_valid
 from repro.engine.api import solve_srj
 from repro.simulator import (

@@ -15,6 +15,7 @@ stall that outlasts it raises :class:`FaultRecoveryError` at once.
 from __future__ import annotations
 
 import random
+import tracemalloc
 from fractions import Fraction
 from typing import List
 
@@ -262,6 +263,23 @@ def test_max_steps_counts_idle_steps():
     res = SimulationEngine(TOY, ListSchedulingPolicy(), fault_plan=plan,
                            max_steps=13).run()
     assert res.makespan == 13 and res.report.ok
+
+
+def test_stall_costs_constant_memory():
+    # a dip to 0 from step 2 to step 900 002 is one run-length row: the
+    # run holds no per-step object, and the schedule is built on read
+    plan = FaultPlan.create(DIP + [FaultEvent(900_002, "dip",
+                                              capacity=Fraction(1))])
+    tracemalloc.start()
+    try:
+        res = SimulationEngine(TOY, ListSchedulingPolicy(),
+                               fault_plan=plan).run()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert res.report.ok and res.makespan == 900_006
+    assert peak < 4 * 2 ** 20, peak
+    assert sum(run[2] for run in res.runs) == res.makespan
 
 
 @pytest.mark.parametrize("i, seed", [(0, 12), (5, 46), (28, 207)])

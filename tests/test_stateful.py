@@ -24,13 +24,14 @@ from hypothesis.stateful import (
 
 from repro.core.instance import Instance
 from repro.core.schedule import Schedule
-from repro.core.state import SchedulerState
 from repro.core.validate import validate_schedule
-from repro.numeric import frac_sum
+from repro.engine.loop import StepDecision
+
+from conftest import exact_state
 
 
 class EngineAdversary(RuleBasedStateMachine):
-    """Drives SchedulerState with arbitrary legal steps."""
+    """Drives an exact engine state with arbitrary legal steps."""
 
     @initialize(
         m=st.integers(min_value=1, max_value=4),
@@ -51,13 +52,13 @@ class EngineAdversary(RuleBasedStateMachine):
         self.instance = Instance.from_requirements(
             m, reqs, sizes[: len(reqs)]
         )
-        self.state = SchedulerState(self.instance)
+        self.state = exact_state(self.instance)
         self.schedule = Schedule(instance=self.instance)
         self.steps_taken = 0
 
     @rule(data=st.data())
     def legal_step(self, data):
-        if self.state.n_unfinished() == 0 or self.steps_taken > 60:
+        if self.state.unfinished_count == 0 or self.steps_taken > 60:
             return
         # started jobs must continue (non-preemption); then admit a random
         # subset of fresh jobs within processor and resource budgets
@@ -111,11 +112,11 @@ class EngineAdversary(RuleBasedStateMachine):
         shares = {j: s for j, s in shares.items() if s > 0}
         if not shares:
             return
-        pieces = {
-            j: (self.state.processor_for(j), s) for j, s in shares.items()
-        }
-        self.schedule.append_step(pieces)
-        self.state.apply_step(shares)
+        self.state.apply_decision(StepDecision(shares=shares))
+        owner = self.state.processor_of
+        self.schedule.append_step(
+            {j: (owner[j], s) for j, s in shares.items()}
+        )
         self.steps_taken += 1
 
     @invariant()
@@ -150,9 +151,10 @@ class EngineAdversary(RuleBasedStateMachine):
     def fractured_consistency(self):
         if not hasattr(self, "state"):
             return
-        for j in self.state.fractured_jobs():
-            q = self.state.fractured_remainder(j)
-            assert 0 < q < self.instance.requirement(j)
+        for j in self.state.unfinished():
+            q = self.state.remaining[j] % self.state.req[j]
+            if q:  # fractured
+                assert 0 < q < self.instance.requirement(j)
 
 
 EngineAdversaryTest = EngineAdversary.TestCase

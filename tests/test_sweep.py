@@ -307,14 +307,14 @@ class TestGridsAndMigrations:
             scale_grid("nope", "small")
 
     def test_faultsweep_cache_and_shards(self, tmp_path):
-        from repro.perf.faultsweep import fault_sweep
+        from repro.perf.faultsweep import faultsweep_spec
 
-        kw = dict(trials=5, m=3, n=10, events=3, horizon=60)
-        reference = fault_sweep(**kw)
-        a = fault_sweep(**kw, cache_dir=tmp_path, shard=(0, 2))
-        b = fault_sweep(**kw, cache_dir=tmp_path, shard=(1, 2))
+        spec = faultsweep_spec(trials=5, m=3, n=10, events=3, horizon=60)
+        reference = run_sweep(spec).rows
+        a = run_sweep(spec, cache_dir=tmp_path, shard=(0, 2)).rows
+        b = run_sweep(spec, cache_dir=tmp_path, shard=(1, 2)).rows
         assert len(a) + len(b) == 5
-        merged = fault_sweep(**kw, cache_dir=tmp_path)
+        merged = run_sweep(spec, cache_dir=tmp_path).rows
         assert merged == reference
 
     def test_bench_rows_match_prerefactor_artifact(self, tmp_path):

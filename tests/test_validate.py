@@ -199,6 +199,12 @@ class TestResultSeededDefects:
         )
         assert "makespan 27 != 28 steps in the trace" in violations
 
+    def test_zero_step_run_reported(self):
+        res = self._result()
+        res.trace[2].count = 0  # step 5 of a run of fewer than one step
+        violations = validate_result(res).violations
+        assert "step 5: run of 0 steps" in violations
+
     def test_recorded_completion_and_makespan_checked(self):
         res = self._result()
         res.completion_times[5] += 5
