@@ -61,7 +61,8 @@ faults-smoke:
 
 # AST-based invariant checkers (docs/STATIC_ANALYSIS.md): exact-backend
 # purity, float-free exact modules, derived (clock/PID-free) identities,
-# worker-safe callables, observer threading.  Exits 1 on any finding.
+# worker-safe callables, observer threading, unused imports.  Exits 1 on
+# any finding.
 lint:
 	$(PYTHON) -m repro lint
 

@@ -23,7 +23,7 @@ from __future__ import annotations
 import random
 import time
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from ..perf import seed_for, solve_srj
 from ..sweep import SweepSpec, run_sweep

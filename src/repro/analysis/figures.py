@@ -23,10 +23,9 @@ from __future__ import annotations
 
 import random
 import time
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
 from ..core.bounds import makespan_lower_bound
-from ..core.scheduler import schedule_srj
 from ..perf import seed_for, solve_srj
 from ..sweep import SweepSpec, run_sweep
 from ..tasks import schedule_tasks, srt_guarantee_factor, srt_lower_bound

@@ -20,7 +20,7 @@ its (truncated) chart.
 from __future__ import annotations
 
 from itertools import islice
-from typing import Dict, Iterable, Iterator, List, Tuple
+from typing import Dict, Iterator, List, Tuple
 
 #: utilization shading, 0%..100% in tenths
 _SHADES = " .:-=+*#%@"

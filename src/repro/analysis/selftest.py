@@ -19,7 +19,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, List
+from typing import List
 
 
 @dataclass
@@ -43,7 +43,6 @@ def run_selftest(trials: int = 25, seed: int = 0) -> SelfTestResult:
     """Run the battery; returns a :class:`SelfTestResult`."""
     from ..baselines import schedule_window_via_engine
     from ..binpacking import (
-        items_to_instance,
         make_items,
         pack_sliding_window,
         packing_lower_bound,

@@ -13,7 +13,7 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import List, Optional, Tuple
+from typing import List
 
 from ..core.bounds import makespan_lower_bound
 from ..core.instance import Instance

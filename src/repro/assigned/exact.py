@@ -8,7 +8,6 @@ free model's contiguity constraints.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from typing import List, Optional, Tuple
 
 import numpy as np

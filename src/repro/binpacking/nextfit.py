@@ -20,7 +20,7 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from .item import Item
-from .packing import Bin, Packing
+from .packing import Packing
 
 
 def pack_next_fit(

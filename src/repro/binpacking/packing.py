@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Dict, List, Sequence
+from typing import Dict, List
 
 from ..numeric import frac_sum
 from .item import Item

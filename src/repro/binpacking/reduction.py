@@ -20,7 +20,7 @@ from fractions import Fraction
 from typing import Dict, Sequence
 
 from ..core.instance import Instance
-from ..core.scheduler import SRJResult
+from ..engine.trace import SRJResult
 from .item import Item
 from .packing import Bin, Packing
 

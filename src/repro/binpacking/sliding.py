@@ -33,7 +33,6 @@ def pack_sliding_window(
         # no sharing possible: each bin holds one part; item of size s uses
         # ⌈s⌉ bins (this is optimal for k = 1)
         packing = Packing(items=list(items), k=1)
-        from ..numeric import ceil_frac
         from fractions import Fraction
 
         for it in items:

@@ -10,7 +10,8 @@ from .bounds import (
 from .instance import Instance
 from .job import Job, JobPiece, make_job
 from .schedule import Schedule, Step
-from .scheduler import SRJResult, TraceRun, schedule_srj
+from ..engine.trace import SRJResult, TraceRun
+from .scheduler import schedule_srj
 from .unit import UnitSizeScheduler, schedule_unit, unit_guarantee
 from .validate import (
     ScheduleError,

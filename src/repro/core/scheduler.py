@@ -23,26 +23,21 @@ The step loop lives in :mod:`repro.engine`: one routine,
 assignment, and :class:`~repro.engine.policies.SlidingWindowPolicy` adds
 the bulk horizon; :func:`repro.engine.api.solve_srj` runs it on either
 numeric backend (``enable_move=False`` is the E7 ablation; ``window_size=``
-caps the window below m - 1).  This module keeps :func:`schedule_srj`, the exact-rational
-quickstart entry point, and re-exports the trace types
-(:class:`TraceRun`, :class:`SRJResult`, defined in
-:mod:`repro.engine.trace`).
+caps the window below m - 1).  This module keeps :func:`schedule_srj`,
+the exact-rational quickstart entry point.
 
-The produced trace is run-length encoded; :meth:`SRJResult.schedule`
-expands it to a full :class:`~repro.core.schedule.Schedule` on demand.
+The produced trace is run-length encoded (:mod:`repro.engine.trace`);
+:meth:`~repro.engine.trace.SRJResult.schedule` expands it to a full
+:class:`~repro.core.schedule.Schedule` on demand.
 """
 
 from __future__ import annotations
 
 from ..engine import api as _engine
-from ..engine.trace import SRJResult, TraceRun
+from ..engine.trace import SRJResult
 from .instance import Instance
 
-__all__ = [
-    "SRJResult",
-    "TraceRun",
-    "schedule_srj",
-]
+__all__ = ["schedule_srj"]
 
 
 def schedule_srj(

@@ -16,7 +16,7 @@ O(1) per job, so memory is O(n + m) at any makespan.
 
 Each validator applies its own model's end rules to the ledger.
 :func:`validate_schedule` and :func:`validate_result` (an
-:class:`~repro.core.scheduler.SRJResult`'s trace, never expanded into
+:class:`~repro.engine.trace.SRJResult`'s trace, never expanded into
 steps) check non-preemption, no migration and full delivery of ``s_j``;
 :func:`validate_result` also checks the recorded completion times and
 makespan.  :func:`assert_valid` / :func:`assert_result_valid` raise
@@ -59,7 +59,7 @@ from .instance import Instance
 from .schedule import Schedule
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from .scheduler import SRJResult
+    from ..engine.trace import SRJResult
 
 
 class ScheduleError(AssertionError):

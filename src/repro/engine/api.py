@@ -1,9 +1,9 @@
 """Engine entry points: build a backend context + policy + state, run the
 loop, emit results.
 
-SRJ runs read their requirements off the instance's integers at ``L``
-and leave their trace as integer shares at the run's scale (the
-:class:`~repro.engine.trace.TraceRun` form, exact Fractions built on
+SRJ runs read their requirements off the instance's integers at ``L``.
+SRJ and SRT runs leave their trace as integer shares at the run's scale
+(the :class:`~repro.engine.trace.TraceRun` form, exact Fractions built on
 read).  The other layers' results are converted back to exact values
 here; the front-end modules (``repro.core``,
 ``repro.tasks``, ``repro.online``, ``repro.assigned``) delegate here and
@@ -96,20 +96,26 @@ def _srj_state(
     )
 
 
-def _build_srj_result(instance, state: EngineState, scale: int) -> SRJResult:
-    """Wrap a finished engine state in an :class:`SRJResult`.  The trace
-    keeps the shares as integers at the run's *scale* (on the int backend
-    the engine's own share maps); only the waste becomes a Fraction."""
+def _trace_runs(state: EngineState, scale: int) -> List[TraceRun]:
+    """The state's recorded rows as :class:`TraceRun` objects, their
+    shares integers at the run's *scale* (on the int backend the engine's
+    own share maps)."""
     as_units = state.ctx.as_units
     at_scale = TraceRun.at_scale
+    return [
+        at_scale(as_units(shares, scale), scale, procs, count, case, win)
+        for shares, procs, count, case, win in state.trace
+    ]
+
+
+def _build_srj_result(instance, state: EngineState, scale: int) -> SRJResult:
+    """Wrap a finished engine state in an :class:`SRJResult`; only the
+    waste becomes a Fraction."""
     return SRJResult(
         instance=instance,
         makespan=state.t,
         completion_times=dict(state.completion_times),
-        trace=[
-            at_scale(as_units(shares, scale), scale, procs, count, case, win)
-            for shares, procs, count, case, win in state.trace
-        ],
+        trace=_trace_runs(state, scale),
         steps_full_jobs=state.steps_full_jobs,
         steps_full_resource=state.steps_full_resource,
         total_waste=Fraction(state.ctx.to_fraction(state.waste_units)),
@@ -403,13 +409,14 @@ def run_sequential_tasks(
     backend: str = "auto",
     observer=None,
     step_limit: Optional[int] = None,
-) -> Tuple[Dict, int, Optional[List]]:
+) -> Tuple[Dict, int, List[TraceRun]]:
     """Run the Listing-3/4 sequential engine over *tasks* in order.
 
-    Returns ``(task_completion_times, makespan, steps)`` where *steps* is
-    ``None`` when ``record_steps`` is off and otherwise a list of
-    ``(shares, tasks_packed)`` pairs per step with exact-valued shares
-    keyed by ``(task_id, job_index)``.  *observer* receives the run's
+    Returns ``(task_completion_times, makespan, trace)`` where *trace* is
+    empty when ``record_steps`` is off and otherwise one :class:`TraceRun`
+    per step: shares keyed by ``(task_id, job_index)`` at the run's scale,
+    no processors and the ids of the tasks packed in the step as its
+    window.  *observer* receives the run's
     life-cycle events (stats composition happens in the task front-end,
     which may share one observer across the heavy and light half-runs).
     *step_limit* truncates the run after that many steps; tasks still
@@ -425,7 +432,8 @@ def run_sequential_tasks(
     obs, _ = setup_observer(observer)
     with span(obs, "scale"):
         all_reqs = [r for task in tasks for r in task.requirements]
-        ctx = make_context(backend, lcm_denominator(budget, all_reqs))
+        scale = lcm_denominator(budget, all_reqs)
+        ctx = make_context(backend, scale)
         req = {
             (task.id, i): ctx.scale(r)
             for task in tasks
@@ -464,24 +472,15 @@ def run_sequential_tasks(
             observer=obs,
             step_limit=step_limit,
         )
-    steps: Optional[List] = None
     with span(obs, "emit"):
-        if record_steps:
-            conv = ctx.to_fraction
-            steps = [
-                (
-                    {key: Fraction(conv(v)) for key, v in shares.items()},
-                    packed,
-                )
-                for shares, _procs, _count, _case, packed in state.trace
-            ]
+        trace = _trace_runs(state, scale) if record_steps else []
     if obs is not None:
         obs.on_run_end(
             state,
             {"layer": "sequential-tasks", "makespan": state.t,
              "tasks": len(policy.completion)},
         )
-    return dict(policy.completion), state.t, steps
+    return dict(policy.completion), state.t, trace
 
 
 # ---------------------------------------------------------------------------

@@ -49,7 +49,6 @@ def run_loop(
     policy,
     max_iters: int,
     cap_error: Callable[[], Exception],
-    on_finish: Optional[Callable] = None,
     observer=None,
     step_limit: Optional[int] = None,
 ) -> None:
@@ -57,9 +56,7 @@ def run_loop(
 
     Raises the exception built by ``cap_error()`` after *max_iters*
     decisions — a generous guard that catches non-termination bugs instead
-    of hanging.  ``on_finish(finished_keys)`` is invoked after every
-    decision that completed at least one job (used by front-ends that react
-    to completions, e.g. arrival admission).
+    of hanging.
 
     *observer* (a :class:`repro.obs.Observer`, duck-typed) receives
     ``on_decision(state, decision)`` after every applied decision — i.e.
@@ -86,20 +83,16 @@ def run_loop(
             room = step_limit - state.t
             if decision.count > room:
                 decision.count = room
-            finished = state.apply_decision(decision)
+            state.apply_decision(decision)
             if on_decision is not None:
                 on_decision(state, decision)
-            if finished and on_finish is not None:
-                on_finish(finished)
         return
     if observer is None:
         while state.unfinished_count:
             guard += 1
             if guard > max_iters:
                 raise cap_error()
-            finished = state.apply_decision(policy.decide(state))
-            if finished and on_finish is not None:
-                on_finish(finished)
+            state.apply_decision(policy.decide(state))
         return
     # hoisted bound methods: the observed loop must stay within 5% of the
     # bare one with a no-op observer installed (bench_obs_overhead gate)
@@ -111,7 +104,5 @@ def run_loop(
         if guard > max_iters:
             raise cap_error()
         decision = decide(state)
-        finished = apply_decision(decision)
+        apply_decision(decision)
         on_decision(state, decision)
-        if finished and on_finish is not None:
-            on_finish(finished)

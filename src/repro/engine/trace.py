@@ -9,9 +9,6 @@ they are read (:attr:`TraceRun.shares`).  Validators walk the integer
 runs themselves (:func:`repro.core.validate.validate_result`); analysis
 code consumes the trace streamed (:meth:`SRJResult.iter_steps`) or
 materialized (:meth:`SRJResult.schedule`).
-
-Historically these classes lived in ``repro.core.scheduler``; that module
-re-exports them, so existing imports keep working.
 """
 
 from __future__ import annotations

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Sequence, Tuple
+from typing import Callable, Dict, List, Sequence
 
 #: a response curve: maps the satisfied fraction x = R/r in [0,1] to the
 #: per-step progress fraction in [0,1]; must satisfy g(0)=0, g(1)=1 and be

@@ -26,7 +26,7 @@ experiment E12 measures the empirical ratios.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Dict, List, Sequence
+from typing import Dict, Sequence
 
 from ..numeric import frac_sum
 from ..tasks.model import Task, TaskInstance, TaskScheduleResult

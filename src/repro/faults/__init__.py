@@ -20,11 +20,16 @@ bit-identical recovered schedules on the Fraction and int backends and
 under any ``parallel_map`` worker count (tested).
 """
 
-from .model import KINDS, FaultEvent, FaultPlan, FaultPlanError
+from .model import (
+    KINDS,
+    FaultEvent,
+    FaultPlan,
+    FaultPlanError,
+    FaultRecoveryError,
+)
 from .runner import (
     INJECTION_KINDS,
     FaultedResult,
-    FaultRecoveryError,
     FaultSegment,
     RecoveryResult,
     degradation_report,

@@ -49,7 +49,6 @@ from .model import FaultEvent, FaultPlan, FaultRecoveryError, Machine
 from .snapshot import Checkpoint
 
 __all__ = [
-    "FaultRecoveryError",
     "FaultSegment",
     "FaultedResult",
     "RecoveryResult",

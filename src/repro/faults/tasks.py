@@ -165,10 +165,10 @@ def run_tasks_with_faults(
             observer=obs,
             step_limit=step_limit,
         )
-        for step in res.steps:
-            for (ti, ridx), share in step.shares.items():
+        for run in res.trace:
+            for (ti, ridx), share in run.shares.items():
                 key = (ti, maps[ti][ridx])
-                rem = residual[key] - share
+                rem = residual[key] - run.count * share
                 residual[key] = rem if rem > 0 else Fraction(0)
         for ti, ct in res.completion_times.items():
             completed[task_ids[ti]] = t + ct

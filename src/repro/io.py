@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
-from typing import Any, Dict, List, Union
+from typing import Any, Dict, Union
 
 from .core.instance import Instance
 from .core.schedule import Schedule

@@ -1,8 +1,9 @@
 """``repro.lint`` — AST-based invariant checkers for the reproduction.
 
-Five project-specific rules enforce, at review time, the invariants the
+Six project-specific rules enforce, at review time, the invariants the
 paper's exact-rational analysis and the fabric's determinism guarantees
-demand (docs/STATIC_ANALYSIS.md has the full catalogue and rationale):
+demand, and keep dead imports out (docs/STATIC_ANALYSIS.md has the full
+catalogue and rationale):
 
 * ``hotpath-exact``    — no Fraction/fractions/decimal in the engine hot
   path (``engine/loop|state|policies``); it sees aliased imports and
@@ -16,7 +17,10 @@ demand (docs/STATIC_ANALYSIS.md has the full catalogue and rationale):
   ``WorkerPool``'s ``map``, sweep ``run_point``) must be module-level
   functions;
 * ``observer-threaded``— public ``solve_*``/``schedule_*`` entry points
-  must accept and forward ``observer=``.
+  must accept and forward ``observer=``;
+* ``unused-import``    — every name an import binds is read by the module
+  (loaded, listed in ``__all__`` or quoted in an annotation); a
+  package's ``__init__.py`` is not checked.
 
 Run via ``repro-sched lint [paths] [--rule NAME] [--json]`` or
 ``make lint``; suppress a deliberate violation with ``# lint: ok-<rule>``

@@ -1,4 +1,5 @@
-"""Structural rules: ``worker-safe`` and ``observer-threaded``.
+"""Structural rules: ``worker-safe``, ``observer-threaded`` and
+``unused-import``.
 
 ``worker-safe`` guards the process-pool contract of
 :func:`repro.perf.parallel.parallel_map`, the ``map`` method of a
@@ -17,16 +18,23 @@ parameter annotated with ``WorkerPool``; builtin ``map`` is not checked.
 point in a scheduler layer accepts ``observer=`` and forwards it toward
 the engine, so traces, stats and spans compose for every algorithm
 without per-call-site plumbing.
+
+``unused-import`` flags a name an import binds that the module never
+reads, so a dead import cannot keep a retired module or name looking
+used.  A name counts as read when it is loaded anywhere in the module,
+listed in ``__all__`` or named in a quoted annotation; a package's
+``__init__.py`` imports to re-export and is not checked.
 """
 
 from __future__ import annotations
 
 import ast
-from typing import List, Optional, Set
+from pathlib import PurePosixPath
+from typing import Iterator, List, Optional, Set, Tuple
 
 from .base import FileContext, Rule, register
 
-__all__ = ["WorkerSafe", "ObserverThreaded"]
+__all__ = ["WorkerSafe", "ObserverThreaded", "UnusedImport"]
 
 #: call targets whose FIRST positional argument fans out to workers
 _FN_FIRST = frozenset({"parallel_map"})
@@ -230,4 +238,74 @@ class ObserverThreaded(Rule):
                     self.name, node,
                     f"{name}() accepts observer= but never forwards it "
                     f"toward the engine",
+                )
+
+
+def _imported_names(tree: ast.AST) -> Iterator[Tuple[str, ast.alias]]:
+    """``(bound name, alias node)`` for every name an import binds."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                yield alias.asname or alias.name.split(".")[0], alias
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                if alias.name != "*":
+                    yield alias.asname or alias.name, alias
+
+
+def _strings(node) -> Iterator[str]:
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Constant) and isinstance(sub.value, str):
+            yield sub.value
+
+
+def _read_names(tree: ast.AST) -> Set[str]:
+    """Names the module loads, lists in ``__all__`` or quotes in an
+    annotation (of an argument, a return or an annotated assignment)."""
+    read: Set[str] = set()
+    quoted: List[str] = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+            read.add(node.id)
+        elif isinstance(node, (ast.Assign, ast.AugAssign, ast.AnnAssign)):
+            targets = getattr(node, "targets", [getattr(node, "target", None)])
+            if node.value is not None and "__all__" in {
+                t.id for t in targets if isinstance(t, ast.Name)
+            }:
+                read.update(_strings(node.value))
+        for annotation in (getattr(node, "annotation", None),
+                           getattr(node, "returns", None)):
+            if annotation is not None:
+                quoted.extend(_strings(annotation))
+    for text in quoted:
+        try:
+            expr = ast.parse(text, mode="eval")
+        except SyntaxError:
+            continue
+        read.update(n.id for n in ast.walk(expr) if isinstance(n, ast.Name))
+    return read
+
+
+@register
+class UnusedImport(Rule):
+    """Every name an import binds must be read by the module."""
+
+    name = "unused-import"
+    description = (
+        "a name an import binds must be read by the module (loaded, "
+        "listed in __all__ or named in a quoted annotation); __init__.py "
+        "files re-export and are not checked"
+    )
+    scope = ()  # every file
+
+    def check(self, ctx: FileContext) -> None:
+        if PurePosixPath(ctx.display).name == "__init__.py":
+            return
+        read = _read_names(ctx.tree)
+        for name, alias in _imported_names(ctx.tree):
+            if name not in read:
+                ctx.add(
+                    self.name, alias,
+                    f"{name!r} is imported but never read (delete the "
+                    f"import, or list a re-export in __all__)",
                 )

@@ -1,11 +1,11 @@
 """Live sweep monitoring: the read side of the runner's telemetry files.
 
 The sweep runner (:func:`repro.sweep.run_sweep`) is the *monitor* half of
-an Uberun-style master/monitor split: alongside ``STATE.json`` and
-``JOURNAL.jsonl`` it appends per-worker heartbeat records to
-``HEARTBEAT.jsonl`` in the run's checkpoint directory — one line per
-persisted batch, carrying the writing process's pid and shard, point
-throughput, cache hits, retry/fault counters and an ETA.  Because shard
+an Uberun-style master/monitor split: alongside ``STATE.json`` it
+appends per-worker heartbeat records to ``HEARTBEAT.jsonl`` in the run's
+checkpoint directory — one line at the start, per persisted batch, on
+interrupt and at the end, carrying the writing process's pid and shard,
+point throughput, cache hits, retry/fault counters and an ETA.  Because shard
 runners on different machines share the checkpoint directory, their
 heartbeats interleave in the one file at line granularity.
 

@@ -100,7 +100,7 @@ def derive_span_id(*parts: str) -> str:
 
 
 # ---------------------------------------------------------------------------
-# Degrading JSONL writer (shared by span shards, heartbeats, journals)
+# Degrading JSONL writer (shared by span shards and heartbeats)
 # ---------------------------------------------------------------------------
 
 

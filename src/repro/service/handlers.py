@@ -27,7 +27,7 @@ import os
 import random
 import time
 from fractions import Fraction
-from typing import Dict, Optional
+from typing import Dict
 
 from .protocol import E_INTERNAL, E_INVALID_PARAMS, E_UNKNOWN_METHOD
 

@@ -10,7 +10,7 @@
    :class:`~repro.perf.parallel.WorkerPool` opened for the call (or run
    in-process when one worker is requested or fewer than four points
    remain), in batches of ``checkpoint_every``; after each batch every
-   row is persisted, the journal is appended and ``STATE.json`` is
+   row is persisted, a heartbeat is appended and ``STATE.json`` is
    rewritten.  A killed sweep therefore resumes exactly
    where it stopped: at worst the in-flight batch is re-solved, and
    because points are pure, the re-solved rows are identical.
@@ -25,11 +25,12 @@ hits and assembles the full report.
 Observability: pass ``observer=`` for ``sweep/lookup`` / ``sweep/solve``
 phase spans and ``metrics=`` (or read ``report.metrics``) for the
 ``sweep.points_total`` / ``sweep.cache_hits`` / ``sweep.points_solved``
-counters.  With a cache dir, a JSONL journal of start/point/end events is
-appended next to the cached rows, and per-batch **heartbeat** records
-(point throughput, cache hits, the retry/timeout/lost-worker counters of
-the pool, an ETA) go to ``HEARTBEAT.jsonl`` — the live feed
-behind ``repro-sched sweep status --follow`` (see :mod:`repro.obs.report`).
+counters.  With a cache dir, **heartbeat** records go to
+``HEARTBEAT.jsonl`` next to the cached rows: one at the start, one per
+batch, one on interrupt and one at the end, each with the point counts,
+the cache hits, the retry/timeout/lost-worker counters of the pool, the
+throughput and an ETA — the live feed behind ``repro-sched sweep status
+--follow`` (see :mod:`repro.obs.report`).
 With ``spans=True`` the run additionally emits a hierarchical span trace
 under ``<checkpoint>/spans/``: the sweep root, its lookup/solve phases,
 one span per solved point (recorded by the pool worker that solved it)
@@ -140,26 +141,6 @@ class SweepReport:
         }
 
 
-class _Journal:
-    """Append-only JSONL event log; disabled without a cache dir.
-
-    Delegates to :class:`~repro.obs.spans.DegradingJsonlWriter`, so a
-    write failure (disk full, unwritable checkpoint dir) warns once and
-    then becomes a no-op — journaling must never kill the sweep.
-    """
-
-    def __init__(self, path: Optional[Path]) -> None:
-        self._writer = (
-            DegradingJsonlWriter(path, label="sweep journal")
-            if path is not None else None
-        )
-
-    def write(self, record: Dict) -> None:
-        if self._writer is None:
-            return
-        self._writer.write({"ts": round(time.time(), 3), **record})
-
-
 def _write_state(store, spec: SweepSpec, payload: Dict) -> None:
     """Atomically rewrite ``STATE.json`` next to the cached rows."""
     if store.dir is None:
@@ -218,9 +199,6 @@ def run_sweep(
         raise ValueError("spans=True requires a cache_dir (span shards "
                          "live in the checkpoint directory)")
     registry = metrics if metrics is not None else MetricsRegistry()
-    journal = _Journal(
-        store.dir / "JOURNAL.jsonl" if store.dir is not None else None
-    )
     heartbeat = (
         DegradingJsonlWriter(store.dir / HEARTBEAT_NAME, label="heartbeat")
         if store.dir is not None else None
@@ -281,11 +259,6 @@ def run_sweep(
                 rows[point.index] = row
     lookup_s = time.perf_counter() - t0
     hits = len(rows)
-    journal.write({
-        "event": "start", "sweep": spec.name, "spec_key": spec.spec_key,
-        "selected": len(selected), "cached": hits,
-        "shard": None if shard is None else list(shard),
-    })
 
     to_run = misses if stop_after is None else misses[: max(stop_after, 0)]
     _beat("start")
@@ -330,15 +303,10 @@ def run_sweep(
                     store.put(point.key, point.params, row)
                     rows[point.index] = row
                     solved += 1
-                    journal.write({
-                        "event": "point", "index": point.index,
-                        "key": point.key, "cached": False,
-                    })
                 checkpoint()
                 _beat("beat")
     except KeyboardInterrupt:
         checkpoint()
-        journal.write({"event": "interrupted", "done": len(rows)})
         _beat("interrupted")
         raise
     finally:
@@ -366,10 +334,6 @@ def run_sweep(
         if value:
             registry.inc(f"sweep.{counter}", value)
     checkpoint()
-    journal.write({
-        "event": "end", "done": len(rows), "cache_hits": hits,
-        "solved": solved, "complete": complete,
-    })
     _beat("end", complete=complete)
     ordered = [rows[p.index] for p in selected if p.index in rows]
     return SweepReport(

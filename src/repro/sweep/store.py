@@ -4,7 +4,7 @@ Layout under ``<cache_dir>/<sweep-name>/``::
 
     ab/<64-hex-key>.json     one payload {"key", "params", "row"} per point
     STATE.json               last checkpointed progress (see runner)
-    JOURNAL.jsonl            append-only event journal (see runner)
+    HEARTBEAT.jsonl          start/batch/interrupt/end records (see runner)
 
 Writes are atomic (temp file + :func:`os.replace` in the same directory),
 so a killed sweep never leaves a torn payload — at worst the in-flight
@@ -22,7 +22,7 @@ from __future__ import annotations
 import json
 import os
 from pathlib import Path
-from typing import Dict, Mapping, Optional
+from typing import Mapping, Optional
 
 __all__ = ["ResultStore", "NullStore", "DEFAULT_CACHE_DIR"]
 

@@ -22,7 +22,7 @@ from .partition import (
     partition_tasks,
 )
 from .scheduler import schedule_tasks, solve_srt
-from .sequential import SequentialResult, StepRecord, run_sequential
+from .sequential import SequentialResult, run_sequential
 from .exact import solve_srt_exact
 from .validate import validate_task_schedule
 
@@ -34,7 +34,6 @@ __all__ = [
     "solve_srt",
     "run_sequential",
     "SequentialResult",
-    "StepRecord",
     "validate_task_schedule",
     "solve_srt_exact",
     "partition_tasks",

@@ -5,7 +5,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import List, Sequence
 
-from ..numeric import ceil_frac, frac_sum
+from ..numeric import ceil_frac
 from .model import Task, TaskInstance
 
 

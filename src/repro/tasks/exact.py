@@ -14,7 +14,7 @@ the true approximation ratio of the Theorem 4.8 algorithm needs.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import List, Optional
 
 import numpy as np
 from scipy.optimize import Bounds, LinearConstraint, milp

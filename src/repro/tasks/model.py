@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable, List, Sequence
+from typing import Sequence
 
 from ..numeric import Number, frac_sum, to_fraction
 

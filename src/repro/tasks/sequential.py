@@ -36,31 +36,27 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, Sequence
 
 from ..engine import api as _engine
+from ..engine.trace import TraceRun
 from .model import Task
-
-#: global job key: (task id, job index within task)
-JobKey = Tuple[int, int]
-
-
-@dataclass
-class StepRecord:
-    """One step of the sequential engine: shares per global job key (the
-    step's resource use is their sum, its processor count their number)."""
-
-    shares: Dict[JobKey, Fraction]
-    tasks_packed: List[int]
 
 
 @dataclass
 class SequentialResult:
-    """Outcome of a sequential run."""
+    """Outcome of a sequential run.
+
+    With ``record_steps`` on, :attr:`trace` holds one :class:`TraceRun`
+    per step: shares per ``(task id, job index)`` as integers at the
+    run's scale (exact Fractions on read; an edit goes by assigning
+    ``run.shares``), no processors, and the ids of the tasks packed in
+    the step as its ``window``.
+    """
 
     completion_times: Dict[int, int]
     makespan: int
-    steps: List[StepRecord] = field(default_factory=list)
+    trace: List[TraceRun] = field(default_factory=list)
 
     def sum_completion_times(self) -> int:
         return sum(self.completion_times.values())
@@ -79,16 +75,10 @@ def run_sequential(
     and per-step resource *budget*.  *observer* receives the run's
     engine events (see :mod:`repro.obs`); *step_limit* truncates the run
     (tasks unfinished at the limit have no completion time)."""
-    completion, makespan, raw_steps = _engine.run_sequential_tasks(
+    completion, makespan, trace = _engine.run_sequential_tasks(
         tasks, m, budget, record_steps=record_steps, backend=backend,
         observer=observer, step_limit=step_limit,
     )
-    steps: List[StepRecord] = []
-    if raw_steps is not None:
-        steps = [
-            StepRecord(shares=shares, tasks_packed=packed)
-            for shares, packed in raw_steps
-        ]
     return SequentialResult(
-        completion_times=completion, makespan=makespan, steps=steps
+        completion_times=completion, makespan=makespan, trace=trace
     )

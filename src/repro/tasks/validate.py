@@ -2,10 +2,11 @@
 
 The combined Theorem 4.8 scheduler runs the heavy and light halves on
 disjoint processor sets with resource allotments summing to at most 1.
-Their recorded steps go, one step per run, through the model rules' one
-routine (:mod:`repro.core.validate`), which sums every step from its
-shares: each half within its own allotment (processors and resource), the
-merged steps within ``m`` processors and resource 1.  The SRT end rules
+Their recorded integer runs go through the model rules' one routine
+(:mod:`repro.core.validate`), which sums every step from its shares: each
+half within its own allotment (processors and resource), and the merged
+steps, each the two halves' runs of that step at the LCM of their scales,
+within ``m`` processors and resource 1.  The SRT end rules
 follow: no zero shares, every job receives exactly its requirement within
 one contiguous run of steps (non-preemption), and every recorded task
 completion time (per half and merged) is the step the task's last job
@@ -16,10 +17,12 @@ Requires the scheduler to have been run with ``record_steps=True``.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
+from itertools import chain, repeat, zip_longest
 from typing import List, Mapping
 
-from ..core.validate import _Ledger, exact_run
+from ..core.validate import _Ledger
 from ..numeric import lcm_scaled
 from .model import TaskInstance, TaskScheduleResult
 from .partition import heavy_allotment, light_allotment
@@ -66,7 +69,7 @@ def validate_task_schedule(
     for label, half, (m_alloc, budget) in halves:
         ledger = _Ledger(scale, jobs, violations)
         ledger.walk(
-            (exact_run(step.shares, None) for step in half.steps),
+            ((run.units, run.scale, None, run.count) for run in half.trace),
             budget, range(m_alloc), f"{label} step {{t}}",
         )
         for key, job in ledger.jobs.items():
@@ -80,12 +83,14 @@ def validate_task_schedule(
         completions(f"{label} ", half.completion_times, ledger)
 
     def merged_steps():
-        for t in range(max(len(half.steps) for _label, half, _a in halves)):
-            shares = {}
-            for _label, half, _allotment in halves:
-                if t < len(half.steps):
-                    shares.update(half.steps[t].shares)
-            yield exact_run(shares, None)
+        for runs in zip_longest(*(
+            chain.from_iterable(repeat(run, run.count) for run in half.trace)
+            for _label, half, _allotment in halves
+        )):
+            runs = [run for run in runs if run is not None]
+            lcm = math.lcm(*(run.scale for run in runs))
+            yield {j: u * (lcm // run.scale) for run in runs
+                   for j, u in run.units.items()}, lcm, None, 1
 
     merged = _Ledger(scale, jobs, violations)
     merged.walk(merged_steps(), Fraction(1), range(instance.m),

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
-from typing import List, Optional, Tuple
+from typing import List, Tuple
 
 from ..core.instance import Instance
 from .distributions import (

@@ -106,10 +106,10 @@ class TestSequentialSRT:
             fast = run_sequential(ordered, ti.m, Fraction(1), backend="int")
             assert frac.makespan == fast.makespan
             assert frac.completion_times == fast.completion_times
-            assert len(frac.steps) == len(fast.steps)
-            for a, b in zip(frac.steps, fast.steps):
+            assert len(frac.trace) == len(fast.trace)
+            for a, b in zip(frac.trace, fast.trace):
                 assert a.shares == b.shares
-                assert a.tasks_packed == b.tasks_packed
+                assert a.window == b.window
 
     def test_run_sequential_fractional_budget(self):
         rng = random.Random(3)
@@ -120,8 +120,8 @@ class TestSequentialSRT:
             fast = run_sequential(ordered, 3, budget, backend="int")
             assert frac.makespan == fast.makespan
             assert frac.completion_times == fast.completion_times
-            assert [s.shares for s in frac.steps] == [
-                s.shares for s in fast.steps
+            assert [s.shares for s in frac.trace] == [
+                s.shares for s in fast.trace
             ]
 
     def test_schedule_tasks_and_solve_srt(self):

@@ -4,8 +4,6 @@ and the trace observer's degrade-on-write-failure behavior."""
 import warnings
 from fractions import Fraction
 
-import pytest
-
 from repro.faults import FaultEvent, FaultPlan, run_with_faults
 from repro.obs import (
     JsonlTraceObserver,

@@ -9,8 +9,6 @@ the corpus is identical on every run and machine.)
 import random
 from fractions import Fraction
 
-import pytest
-
 from repro.faults import (
     FaultPlan,
     run_tasks_with_faults,

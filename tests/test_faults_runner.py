@@ -5,7 +5,6 @@ from fractions import Fraction
 
 import pytest
 
-from repro.core.instance import Instance
 from repro.core.scheduler import schedule_srj
 from repro.core.validate import validate_result
 from repro.faults import (

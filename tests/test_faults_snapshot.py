@@ -6,7 +6,6 @@ from fractions import Fraction
 import pytest
 
 from repro.core.instance import Instance
-from repro.core.scheduler import schedule_srj
 from repro.engine import make_context
 from repro.engine.backends import lcm_denominator
 from repro.engine.loop import StepDecision

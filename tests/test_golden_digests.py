@@ -224,12 +224,12 @@ def _sequential_record(res):
         res.makespan,
         [
             (
-                tuple((key, str(v)) for key, v in step.shares.items()),
-                str(frac_sum(step.shares.values())),
-                len(step.shares),
-                list(step.tasks_packed),
+                tuple((key, str(v)) for key, v in run.shares.items()),
+                str(frac_sum(run.shares.values())),
+                len(run.shares),
+                list(run.window),
             )
-            for step in res.steps
+            for run in res.trace
         ],
     )
 

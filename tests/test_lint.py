@@ -48,7 +48,7 @@ class TestFramework:
     def test_all_five_rules_registered(self):
         assert set(RULES) == {
             "hotpath-exact", "exact-no-float", "derived-identity",
-            "worker-safe", "observer-threaded",
+            "worker-safe", "observer-threaded", "unused-import",
         }
         for rule in RULES.values():
             assert rule.description
@@ -82,7 +82,8 @@ class TestFramework:
 
     def test_dedupe_overlapping_paths(self, tmp_path):
         path = _write(tmp_path, "repro/engine/loop.py", "import fractions\n")
-        report = run_lint(paths=[tmp_path, path, tmp_path])
+        report = run_lint(paths=[tmp_path, path, tmp_path],
+                          rules=["hotpath-exact"])
         assert len(report.findings) == 1
 
 
@@ -521,6 +522,93 @@ class TestObserverThreaded:
             rule="observer-threaded",
         )
         assert findings == []
+
+
+# ---------------------------------------------------------------------------
+# unused-import
+# ---------------------------------------------------------------------------
+
+
+class TestUnusedImport:
+    def test_unread_names_caught(self, tmp_path):
+        findings = _findings(
+            tmp_path, "repro/core/mod.py",
+            """\
+            import os
+            import numpy as np
+            import xml.dom
+            from typing import Dict, List
+            from fractions import Fraction as F
+
+            x: List = []
+            """,
+            rule="unused-import",
+        )
+        assert [(f.line, f.message.split()[0]) for f in findings] == [
+            (1, "'os'"), (2, "'np'"), (3, "'xml'"), (4, "'Dict'"),
+            (5, "'F'"),
+        ]
+
+    def test_every_read_counts(self, tmp_path):
+        findings = _findings(
+            tmp_path, "tests/test_mod.py",
+            """\
+            from __future__ import annotations
+
+            import os.path
+            from typing import TYPE_CHECKING, Optional
+            from json import dumps, loads
+            from .model import *
+
+            if TYPE_CHECKING:
+                from .instance import Instance
+                from .schedule import Schedule
+
+            __all__ = ["dumps"]
+
+
+            def f(x: "Optional[Instance]") -> "Schedule":
+                def g():
+                    return loads(os.path.sep)
+                return g
+            """,
+            rule="unused-import",
+        )
+        assert findings == []
+
+    def test_anchored_at_the_name_in_a_multiline_import(self, tmp_path):
+        findings = _findings(
+            tmp_path, "repro/core/mod.py",
+            """\
+            from typing import (
+                Dict,
+                List,
+            )
+
+            x: List = []
+            """,
+            rule="unused-import",
+        )
+        assert [(f.line, f.col) for f in findings] == [(2, 5)]
+
+    def test_package_init_not_checked(self, tmp_path):
+        findings = _findings(
+            tmp_path, "repro/core/__init__.py",
+            "from .instance import Instance\nfrom . import rules\n",
+            rule="unused-import",
+        )
+        assert findings == []
+
+    def test_suppression(self, tmp_path):
+        findings = _findings(
+            tmp_path, "repro/lint/extra.py",
+            """\
+            from . import rules  # lint: ok-unused-import registers rules
+            import os
+            """,
+            rule="unused-import",
+        )
+        assert [f.line for f in findings] == [2]
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,6 @@
 """Tests for the simulation engine and policies (repro.simulator)."""
 
 from fractions import Fraction
-from typing import Dict
 
 import pytest
 from hypothesis import given, settings

@@ -31,7 +31,6 @@ from repro.obs.spans import (
     merge_spans,
     shard_path,
     write_merged_trace,
-    write_span,
 )
 from repro.sweep import SweepSpec
 from repro.sweep.runner import SPAN_DIR_NAME, run_sweep

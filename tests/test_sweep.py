@@ -196,12 +196,12 @@ class TestRunner:
         assert report.metrics.counter("sweep.points_total") == 8
         assert report.metrics.counter("sweep.points_solved") == 8
         sweep_dir = tmp_path / "test-sweep"
-        events = [
-            json.loads(line)["event"]
-            for line in (sweep_dir / "JOURNAL.jsonl").read_text().splitlines()
+        beats = [
+            json.loads(line)
+            for line in (sweep_dir / "HEARTBEAT.jsonl").read_text().splitlines()
         ]
-        assert events[0] == "start" and events[-1] == "end"
-        assert events.count("point") == 8
+        assert beats[0]["event"] == "start" and beats[-1]["event"] == "end"
+        assert beats[0]["done"] == 0 and beats[-1]["solved"] == 8
         state = json.loads((sweep_dir / "STATE.json").read_text())
         assert state["done"] == 8 and state["complete"] is True
 
@@ -273,15 +273,15 @@ class TestTelemetry:
         assert not (tmp_path / "test-sweep" / "spans").exists()
 
     def test_journal_degrades_with_single_warning(self, tmp_path):
-        # a directory squatting on the journal path makes appends fail;
+        # a directory squatting on the heartbeat path makes appends fail;
         # the sweep must finish, warning exactly once
-        (tmp_path / "test-sweep" / "JOURNAL.jsonl").mkdir(parents=True)
-        with pytest.warns(RuntimeWarning, match="sweep journal") as caught:
+        (tmp_path / "test-sweep" / "HEARTBEAT.jsonl").mkdir(parents=True)
+        with pytest.warns(RuntimeWarning, match="heartbeat") as caught:
             report = run_sweep(_spec(), cache_dir=tmp_path)
-        journal_warnings = [
-            w for w in caught if "sweep journal" in str(w.message)
+        heartbeat_warnings = [
+            w for w in caught if "heartbeat" in str(w.message)
         ]
-        assert len(journal_warnings) == 1
+        assert len(heartbeat_warnings) == 1
         assert report.metrics.counter("sweep.points_solved") == 8
 
 

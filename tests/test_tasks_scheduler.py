@@ -6,7 +6,6 @@ import pytest
 from hypothesis import given, settings
 
 from repro.tasks import (
-    Task,
     TaskInstance,
     count_order_lower_bound,
     lemma_44_witness,

@@ -7,7 +7,6 @@ from hypothesis import given, settings
 
 from repro.tasks import (
     Task,
-    TaskInstance,
     heavy_completion_bound,
     light_completion_bound,
     run_sequential,
@@ -75,7 +74,7 @@ class TestModelCompliance:
         m = 4
         budget = Fraction(1)
         res = run_sequential(tasks, m, budget, record_steps=True)
-        for step in res.steps:
+        for step in res.trace:
             assert frac_sum(step.shares.values()) <= budget
             assert len(step.shares) <= m
             for (task_id, idx), share in step.shares.items():
@@ -88,7 +87,7 @@ class TestModelCompliance:
         tasks = tasks_from(lists)
         res = run_sequential(tasks, 4, Fraction(1), record_steps=True)
         delivered = {}
-        for step in res.steps:
+        for step in res.trace:
             for key, share in step.shares.items():
                 delivered[key] = delivered.get(key, Fraction(0)) + share
         for task in tasks:
@@ -101,7 +100,7 @@ class TestModelCompliance:
         tasks = tasks_from(lists)
         res = run_sequential(tasks, 4, Fraction(1), record_steps=True)
         active = {}
-        for t, step in enumerate(res.steps, start=1):
+        for t, step in enumerate(res.trace, start=1):
             for key in step.shares:
                 active.setdefault(key, []).append(t)
         for key, steps in active.items():

@@ -56,8 +56,10 @@ class TestValidateTaskSchedule:
         res = schedule_tasks(ti, record_steps=True)
         half = res.heavy_result
         # corrupt: inflate one share beyond the heavy allotment
-        key = next(iter(half.steps[0].shares))
-        half.steps[0].shares[key] += Fraction(2)
+        shares = half.trace[0].shares
+        key = next(iter(shares))
+        shares[key] += Fraction(2)
+        half.trace[0].shares = shares
         violations = validate_task_schedule(ti, res)
         assert any("resource" in v for v in violations)
 
@@ -65,11 +67,12 @@ class TestValidateTaskSchedule:
         ti = make_taskset("light", rng, 8, 4)
         res = schedule_tasks(ti, record_steps=True)
         half = res.light_result
-        if len(half.steps) < 3:
+        if len(half.trace) < 3:
             return
-        key = next(iter(half.steps[0].shares))
+        key = next(iter(half.trace[0].shares))
         # re-run the job in the last step after a gap
-        half.steps[-1].shares[key] = Fraction(1, 1000)
+        last = half.trace[-1]
+        last.shares = {**last.shares, key: Fraction(1, 1000)}
         violations = validate_task_schedule(ti, res)
         assert any(
             "preempted" in v or "delivered" in v for v in violations
@@ -79,11 +82,13 @@ class TestValidateTaskSchedule:
         """Step totals come from the shares."""
         ti = make_taskset("heavy", random.Random(0), 8, 6)
         res = schedule_tasks(ti, record_steps=True)
-        first, second = res.heavy_result.steps[:2]
-        key = next(iter(second.shares))  # runs in both steps
-        moved = second.shares[key] / 2
-        first.shares[key] += moved
-        second.shares[key] -= moved
+        first, second = res.heavy_result.trace[:2]
+        a, b = first.shares, second.shares
+        key = next(iter(b))  # runs in both steps
+        moved = b[key] / 2
+        a[key] += moved
+        b[key] -= moved
+        first.shares, second.shares = a, b
         violations = validate_task_schedule(ti, res)
         assert violations == [
             "heavy step 1: resource overused (13/28 > 3/7)"

@@ -1,7 +1,6 @@
 """Tests for the wave-3 additions: grouped packer, SRT exact solver,
 worst-case prober."""
 
-import random
 from fractions import Fraction
 
 import pytest
